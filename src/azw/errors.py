@@ -69,14 +69,6 @@ class SpectralMismatchError(AzwError, RuntimeError):
     """Eigenvalue multisets from two routes do not match."""
 
 
-class VerificationError(AzwError, RuntimeError):
-    """An exact identity verification failed; carries the report."""
-
-    def __init__(self, report, message=None):
-        self.report = report
-        super().__init__(message or "verification failed")
-
-
 class DomainError(AzwError, ValueError):
     """Method preconditions for absolute zeta evaluation violated."""
 

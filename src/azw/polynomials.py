@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonSquareError, PoleError
-from .matrices import ExactMatrix, det_exact
+from .matrices import ExactMatrix
 
 
 def _trim(coeffs) -> tuple[Fraction, ...]:
@@ -122,11 +122,6 @@ class ExactPolynomial:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= q * b
         return ExactPolynomial(_trim(quot)), ExactPolynomial(_trim(rem))
-
-    def divides_exactly(self, other: "ExactPolynomial") -> bool:
-        """True when self divides other with zero remainder."""
-        _, rem = other.divmod(self)
-        return rem.is_zero
 
     def monic(self) -> "ExactPolynomial":
         if self.is_zero:
@@ -252,80 +247,71 @@ def rational_function_eval(f: ExactRationalFunction, x) -> complex:
 
 @lru_cache(maxsize=None)
 def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
-    """det(I - u*M) as an exact polynomial (Faddeev-LeVerrier).
+    """det(I - u*M) as an exact polynomial.
 
-    The constant term is always 1 and the coefficient of u^k is the k-th
-    signed elementary symmetric function of the eigenvalues.
+    Reduces M to upper Hessenberg form H by similarity transforms, then
+    runs the subdiagonal recurrence for det(lambda I - H) on the leading
+    principal blocks (Cohen, A Course in Computational Algebraic Number
+    Theory, GTM 138, Alg. 2.2.9): O(N^3) rational operations. The
+    constant term of the result is always 1.
     """
     if not matrix.is_square:
         raise NonSquareError("characteristic polynomial needs a square matrix")
     n = matrix.rows
-    if n == 0:
-        return ExactPolynomial.one()
-    # char[k] = coefficient of lambda^k in det(lambda I - M)
-    char = [Fraction(0)] * (n + 1)
-    char[n] = Fraction(1)
-    work = [list(row) for row in matrix.entries]
-    m_rows = matrix.entries
-    for k in range(1, n + 1):
-        trace = sum(work[i][i] for i in range(n))
-        char[n - k] = -trace / k
-        if k < n:
-            for i in range(n):
-                work[i][i] += char[n - k]
-            nxt = []
-            for i in range(n):
-                mrow = m_rows[i]
-                acc = [Fraction(0)] * n
-                for t in range(n):
-                    x = mrow[t]
-                    if x:
-                        wrow = work[t]
-                        for j in range(n):
-                            if wrow[j]:
-                                acc[j] += x * wrow[j]
-                nxt.append(acc)
-            work = nxt
+    h = [list(row) for row in matrix.entries]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue  # column already reduced below the subdiagonal
+        if pivot != m:
+            h[pivot], h[m] = h[m], h[pivot]
+            for row in h:
+                row[pivot], row[m] = row[m], row[pivot]
+        hm = h[m]
+        for i in range(m + 1, n):
+            c = h[i][m - 1]
+            if c:
+                c /= hm[m - 1]
+                hi = h[i]
+                for j in range(m - 1, n):
+                    if hm[j]:
+                        hi[j] -= c * hm[j]
+                # the inverse transform on columns keeps H similar to M
+                for row in h:
+                    if row[i]:
+                        row[m] += c * row[i]
+    # chars[k][j] = coefficient of lambda^j in det(lambda I - H[:k, :k])
+    chars = [[Fraction(1)]]
+    for m in range(n):
+        nxt = [Fraction(0)] + chars[m]
+        for j, c in enumerate(chars[m]):
+            nxt[j] -= h[m][m] * c
+        sub = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            sub *= h[i + 1][i]
+            if not sub:
+                break
+            c = h[i][m] * sub
+            if c:
+                for j, x in enumerate(chars[i]):
+                    nxt[j] -= c * x
+        chars.append(nxt)
     # det(I - uM) = u^n * char(1/u): reverse the coefficients
-    return ExactPolynomial(_trim(reversed(char)))
+    return ExactPolynomial(_trim(reversed(chars[n])))
 
 
-def poly_matrix_det(rows, points=None) -> ExactPolynomial:
-    """Exact determinant of a square matrix of ExactPolynomial entries.
+def poly_matrix_det(a1: ExactMatrix, a2: ExactMatrix) -> ExactPolynomial:
+    """det(I + u*A1 + u^2*A2) for square A1, A2 of the same size.
 
-    Evaluates the matrix at degree_bound + 1 distinct integer points,
-    takes exact scalar determinants, and interpolates (Newton form).
-    The default points are 0..degree_bound; any other distinct integers
-    give the same polynomial.
+    Equals det(I - u*C) for the 2n x 2n block companion
+    C = [[-A1, -A2], [I, 0]] (take the Schur complement of the lower
+    right block of I - u*C), so it is a reversed characteristic
+    polynomial.
     """
-    size = len(rows)
-    if any(len(r) != size for r in rows):
-        raise NonSquareError("polynomial determinant needs a square matrix")
-    if size == 0:
-        return ExactPolynomial.one()
-    bound = 0
-    for r in rows:
-        bound += max((p.degree for p in r if not p.is_zero), default=0)
-    if points is None:
-        points = range(bound + 1)
-    xs = [Fraction(p) for p in points]
-    if len(set(xs)) != len(xs) or len(xs) < bound + 1:
-        raise ValueError(f"need {bound + 1} distinct evaluation points")
-    xs = xs[:bound + 1]
-
-    values = []
-    for x in xs:
-        m = ExactMatrix(tuple(tuple(p(x) for p in r) for r in rows))
-        values.append(det_exact(m))
-
-    # Newton divided differences, then expand to the monomial basis.
-    coeffs = list(values)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = ExactPolynomial(())
-    basis = ExactPolynomial.one()
-    for i, c in enumerate(coeffs):
-        poly = poly + basis.scale(c)
-        basis = basis * ExactPolynomial.from_coeffs([-xs[i], 1])
-    return poly
+    n = a1.rows
+    if not (a1.is_square and a2.is_square and a2.rows == n):
+        raise NonSquareError("polynomial determinant needs two square blocks of one size")
+    one, zero = Fraction(1), Fraction(0)
+    top = tuple(tuple(-x for x in r1 + r2) for r1, r2 in zip(a1.entries, a2.entries))
+    bottom = tuple(tuple(one if j == i else zero for j in range(2 * n)) for i in range(n))
+    return reversed_charpoly(ExactMatrix(top + bottom))

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import CertificateError, InvalidParameterError, SpectralMismatchError
 from .graphs import Graph, arc_table
 from .matrices import (
+    ExactMatrix,
     adjacency_and_degree,
     det_exact,
     edge_matrix,
@@ -51,29 +52,19 @@ def grover_zeta(g: Graph) -> ExactRationalFunction:
     return ExactRationalFunction.from_parts(ExactPolynomial.one(), p)
 
 
-def _bass_inverse_zeta(g: Graph) -> ExactRationalFunction:
-    """(1-u^2)^(betti-1) * det(I - uA + u^2 (D - I)) as a rational function."""
-    adj, deg = adjacency_and_degree(g)
-    n = g.n
-    one = ExactPolynomial.one()
-    u2 = ExactPolynomial.monomial(2)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = ExactPolynomial(())
-            if i == j:
-                p = p + one + u2.scale(deg[i, i] - 1)
-            if adj[i, j]:
-                p = p - ExactPolynomial.monomial(1, adj[i, j])
-            row.append(p)
-        rows.append(row)
-    det = poly_matrix_det(rows)
-    circle = ExactPolynomial.from_coeffs([1, 0, -1])  # 1 - u^2
-    k = g.betti - 1
+def _times_circle_power(det: ExactPolynomial, k: int) -> ExactRationalFunction:
+    """det * (1-u^2)^k as a reduced rational function; k < 0 for trees."""
+    circle = ExactPolynomial.from_coeffs([1, 0, -1])
     if k >= 0:
         return ExactRationalFunction.from_parts(circle ** k * det, ExactPolynomial.one())
     return ExactRationalFunction.from_parts(det, circle ** (-k))
+
+
+def _bass_inverse_zeta(g: Graph) -> ExactRationalFunction:
+    """(1-u^2)^(betti-1) * det(I - uA + u^2 (D - I)) as a rational function."""
+    adj, deg = adjacency_and_degree(g)
+    det = poly_matrix_det(adj.scale(-1), deg - ExactMatrix.identity(g.n))
+    return _times_circle_power(det, g.betti - 1)
 
 
 def ihara_zeta(g: Graph, route: str = "bass") -> ExactRationalFunction:
@@ -120,24 +111,8 @@ def verify_konno_sato(g: Graph) -> KonnoSatoReport:
     (1-u^2)^(m-n) factor sits in the denominator for trees (m < n).
     """
     lhs = reversed_charpoly(grover_matrix(g))
-    p = transition_matrix(g)
-    one_plus_u2 = ExactPolynomial.from_coeffs([1, 0, 1])
-    rows = []
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            q = one_plus_u2 if i == j else ExactPolynomial(())
-            if p[i, j]:
-                q = q - ExactPolynomial.monomial(1, 2 * p[i, j])
-            row.append(q)
-        rows.append(row)
-    det = poly_matrix_det(rows)
-    circle = ExactPolynomial.from_coeffs([1, 0, -1])
-    k = g.m - g.n
-    if k >= 0:
-        rhs = ExactRationalFunction.from_parts(circle ** k * det, ExactPolynomial.one())
-    else:
-        rhs = ExactRationalFunction.from_parts(det, circle ** (-k))
+    det = poly_matrix_det(transition_matrix(g).scale(-2), ExactMatrix.identity(g.n))
+    rhs = _times_circle_power(det, g.m - g.n)
 
     mismatches: list[tuple[int, Fraction, Fraction]] = []
     if rhs.is_polynomial:
@@ -217,8 +192,6 @@ def count_reduced_cycles(g: Graph, r_max: int) -> tuple[int, ...]:
                 extend(first, nxt, length + 1)
 
     for e in range(size):
-        if arcs.terminus(e) == arcs.origin(e):
-            counts[1] += 1  # unreachable on simple graphs; kept for clarity
         extend(e, e, 1)
     return tuple(counts[1:])
 

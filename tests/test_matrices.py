@@ -19,8 +19,8 @@ from conftest import connected_graphs
 F = Fraction
 
 # det of the Grover operator for every corpus graph, frozen from the
-# fraction-free elimination (cross-checked against the charpoly route in
-# test_polynomials).
+# fraction-free elimination (cross-checked against the Hessenberg
+# characteristic polynomial in test_polynomials).
 CORPUS_DET_U = {
     "K2": -1,
     "C3": 1, "C4": 1, "C5": 1, "C6": 1, "C7": 1, "C8": 1,

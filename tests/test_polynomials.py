@@ -2,24 +2,31 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from azw import (
     ExactMatrix,
     ExactPolynomial,
     ExactRationalFunction,
     det_exact,
+    edge_matrix,
     generate,
     grover_matrix,
+    ihara_zeta,
     poly_gcd,
     poly_matrix_det,
     rational_function_eval,
     reversed_charpoly,
+    transition_matrix,
+    verify_konno_sato,
 )
 from azw.errors import NonSquareError, PoleError
+from conftest import connected_graphs
 from test_matrices import CORPUS_DET_U
 
 F = Fraction
 P = ExactPolynomial.from_coeffs
+M = ExactMatrix.from_rows
 
 
 def test_polynomial_normalization():
@@ -77,73 +84,135 @@ def test_orthogonal_coefficient_symmetry(corpus):
 
 
 def test_charpoly_leading_coeff_equals_det(corpus):
-    # the same det by two exact routes: Bareiss and Faddeev-LeVerrier
+    # the same det by two exact routes: Bareiss and the Hessenberg charpoly
     for name, g in corpus.items():
         u = grover_matrix(g)
         assert reversed_charpoly(u).leading() == det_exact(u), name
 
 
 def test_poly_matrix_det_2x2_expansion():
+    # det([[1+u^2, -u], [-u, 1+u^2]])
+    got = poly_matrix_det(M([[0, -1], [-1, 0]]), ExactMatrix.identity(2))
     one_u2 = P([1, 0, 1])
-    mu = P([0, -1])
-    got = poly_matrix_det([[one_u2, mu], [mu, one_u2]])
     assert got == one_u2 * one_u2 - P([0, 1]) * P([0, 1])
 
 
 def test_poly_matrix_det_k2_transition():
     # det((1+u^2) I - 2u P_K2) = (1+u^2)^2 - 4u^2 = (1-u^2)^2
-    one_u2 = P([1, 0, 1])
-    m2u = P([0, -2])
-    got = poly_matrix_det([[one_u2, m2u], [m2u, one_u2]])
+    got = poly_matrix_det(M([[0, -2], [-2, 0]]), ExactMatrix.identity(2))
     assert got == P([1, 0, -1]) ** 2
 
 
 def test_poly_matrix_det_c4_transition():
     # eigenvalues of P_C4 are 1, 0, 0, -1 so the determinant factors as
     # (1-u)^2 (1+u)^2 (1+u^2)^2
-    from azw import transition_matrix
     p = transition_matrix(generate("cycle", 4))
-    one_u2 = P([1, 0, 1])
-    rows = [[(one_u2 if i == j else ExactPolynomial.zero())
-             - ExactPolynomial.monomial(1, 2 * p[i, j]) for j in range(4)]
-            for i in range(4)]
-    assert poly_matrix_det(rows) == P([1, 0, -1]) ** 2 * one_u2 ** 2
+    got = poly_matrix_det(p.scale(-2), ExactMatrix.identity(4))
+    assert got == P([1, 0, -1]) ** 2 * P([1, 0, 1]) ** 2
 
 
-def test_poly_matrix_det_agrees_with_charpoly():
+def _bareiss_one_minus(m: ExactMatrix, u: Fraction) -> Fraction:
+    return det_exact(ExactMatrix.identity(m.rows) - m.scale(u))
+
+
+def _agrees_with_bareiss(poly: ExactPolynomial, m: ExactMatrix) -> bool:
+    # 2n + 1 distinct points pin down any polynomial of degree <= 2n, which
+    # covers both an n x n charpoly and the 2n x 2n companion behind
+    # poly_matrix_det
+    points = [F(k, 3) for k in range(-m.rows, m.rows + 1)]
+    return all(poly(u) == _bareiss_one_minus(m, u) for u in points)
+
+
+def test_poly_matrix_det_matches_bareiss_at_rational_points():
     rng = random.Random(20240915)
-    one = ExactPolynomial.one()
     for _ in range(20):
         n = rng.randint(1, 8)
-        m = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        rows = [[(one if i == j else ExactPolynomial.zero())
-                 - ExactPolynomial.monomial(1, m[i][j]) for j in range(n)]
-                for i in range(n)]
-        assert poly_matrix_det(rows) == reversed_charpoly(ExactMatrix.from_rows(m))
+        m = M([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+        assert _agrees_with_bareiss(poly_matrix_det(m.scale(-1), ExactMatrix.zeros(n, n)), m)
 
 
-def test_poly_matrix_det_agrees_with_charpoly_on_walk_operator():
-    # same cross-route agreement on a live 10x10 walk operator
+def test_poly_matrix_det_matches_bareiss_on_walk_operator():
+    # the same check on a live 10x10 walk operator
     u = grover_matrix(generate("cycle", 5))
-    one = ExactPolynomial.one()
-    rows = [[(one if i == j else ExactPolynomial.zero())
-             - ExactPolynomial.monomial(1, u[i, j]) for j in range(u.cols)]
-            for i in range(u.rows)]
-    assert poly_matrix_det(rows) == reversed_charpoly(u)
-
-
-def test_poly_matrix_det_point_choice_invariance():
-    one_u2 = P([1, 0, 1])
-    mu = P([0, -1])
-    rows = [[one_u2, mu], [mu, one_u2]]
-    default = poly_matrix_det(rows)
-    shifted = poly_matrix_det(rows, points=range(5, 11))
-    assert default == shifted
+    assert _agrees_with_bareiss(poly_matrix_det(u.scale(-1), ExactMatrix.zeros(10, 10)), u)
 
 
 def test_poly_matrix_det_requires_square():
+    # blocks that are non-square or of mismatched size
     with pytest.raises(NonSquareError):
-        poly_matrix_det([[ExactPolynomial.one()], [ExactPolynomial.one()]])
+        poly_matrix_det(M([[1], [1]]), M([[1], [1]]))
+    with pytest.raises(NonSquareError):
+        poly_matrix_det(ExactMatrix.identity(2), ExactMatrix.identity(3))
+    with pytest.raises(NonSquareError):
+        poly_matrix_det(ExactMatrix.identity(2), M([[1, 0, 0], [0, 1, 0]]))
+
+
+def _structured_matrices():
+    """Sparse rational matrices whose zeros make the Hessenberg reduction
+    both skip columns (nothing to eliminate) and swap in a pivot."""
+    rng = random.Random(31)
+    out = [
+        M([[0, 1, 2], [0, 3, 4], [0, 5, 6]]),               # zero first column: skip
+        M([[1, 2, 3], [0, 4, 5], [6, 7, 8]]),               # zero subdiagonal: swap
+        M([[1, 2, 0, 0], [3, 4, 0, 0], [5, 6, 7, 8], [9, 1, 2, 3]]),  # block triangular
+        ExactMatrix.zeros(3, 3),
+    ]
+    for _ in range(12):
+        n = rng.randint(2, 9)
+        m = [[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.3 else F(0)
+              for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            for row in m:
+                row[0] = F(0)
+        k = rng.randint(1, n - 1)
+        if rng.random() < 0.5:
+            for i in range(k, n):
+                for j in range(k):
+                    m[i][j] = F(0)
+        out.append(M(m))
+    return out
+
+
+def test_reversed_charpoly_matches_bareiss_on_structured_matrices():
+    for m in _structured_matrices():
+        assert _agrees_with_bareiss(reversed_charpoly(m), m), m
+
+
+ORACLE_POINTS = (F(1, 3), F(-2, 7), F(3, 5))
+
+
+def _check_determinants_against_bareiss(g):
+    """Each exact determinant, evaluated at a rational u, equals the
+    Bareiss determinant of the matrix built directly at that u."""
+    deg = g.degrees()
+    adj = [[F(0)] * g.n for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a][b] = adj[b][a] = F(1)
+    bass = ihara_zeta(g, route="bass")
+    ks = verify_konno_sato(g).rhs
+    for u in ORACLE_POINTS:
+        for m in (grover_matrix(g), edge_matrix(g)):
+            assert reversed_charpoly(m)(u) == _bareiss_one_minus(m, u)
+        circle = 1 - u * u
+        # I - uA + u^2 (D - I), against bass = 1 / ((1-u^2)^(betti-1) det)
+        d = det_exact(M([[(1 + u * u * (deg[i] - 1) if i == j else 0) - u * adj[i][j]
+                          for j in range(g.n)] for i in range(g.n)]))
+        assert bass.num(u) * circle ** (g.betti - 1) * d == bass.den(u)
+        # (1+u^2) I - 2uP, against ks = (1-u^2)^(m-n) det
+        d = det_exact(M([[(1 + u * u if i == j else 0) - 2 * u * adj[i][j] / deg[i]
+                          for j in range(g.n)] for i in range(g.n)]))
+        assert ks.num(u) == ks.den(u) * circle ** (g.m - g.n) * d
+
+
+def test_determinants_match_bareiss_on_corpus(corpus):
+    for g in corpus.values():
+        _check_determinants_against_bareiss(g)
+
+
+@given(connected_graphs())
+@settings(max_examples=25, deadline=None)
+def test_determinants_match_bareiss_on_random_graphs(g):
+    _check_determinants_against_bareiss(g)
 
 
 def test_rational_function_reduction_and_monic_den():
