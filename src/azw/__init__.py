@@ -5,7 +5,14 @@ exact rational entries, computes graph zeta functions as exact rational
 functions, verifies the determinant identities linking them, and then
 evaluates the absolute Hurwitz zeta / absolute zeta of the cyclotomic
 forms those zetas produce, by three mutually cross-checking methods.
+
+numpy and scipy are imported on first use (the float spectra and the
+Mellin quadrature), not by `import azw`.
 """
+
+from time import perf_counter as _perf_counter
+
+_IMPORT_STARTED = _perf_counter()  # the CLI reports import time from here
 
 from .abszeta import (
     AbsZetaValue,

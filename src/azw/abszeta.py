@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .errors import (
     DomainError,
     IdentityCheckError,
@@ -411,6 +409,18 @@ def _combined_tail_integral(mult_poly: list[float], subsets: list[tuple[int, com
             else:
                 total += sign * c_e * cmath.exp((e + 1 - w) * log_v) / ((w - e - 1) * n)
     return total
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first Mellin evaluation.
+
+    Importing scipy.integrate takes most of a second, and only the Mellin
+    method needs it, so `import azw` does not load it. `_mellin_value`
+    looks this name up at call time, so replacing `abszeta.quad` (to
+    count or time the quadratures) reroutes every Mellin integral.
+    """
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 def _mellin_value(form: CyclotomicForm, w: complex, s: complex,

@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 
 from .errors import (
+    DomainError,
     InvalidParameterError,
     NonPositiveShiftError,
     PoleError,
@@ -330,8 +331,17 @@ def multiple_hurwitz_zeta_finite_part(params: MultiZetaParams, pole: int,
 
 def multiple_gamma(params: MultiZetaParams,
                    policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """exp of the s-derivative at 0 of the multiple Hurwitz zeta."""
-    return cmath.exp(multiple_hurwitz_zeta_ds(params, 0.0, policy))
+    """exp of the s-derivative at 0 of the multiple Hurwitz zeta.
+
+    Raises DomainError when the value overflows double precision.
+    """
+    log_value = multiple_hurwitz_zeta_ds(params, 0.0, policy)
+    try:
+        return cmath.exp(log_value)
+    except OverflowError as exc:
+        raise DomainError(
+            f"Gamma_{params.order} overflows double precision at shift {params.shift} "
+            f"(log value {log_value.real:.6g})") from exc
 
 
 def multiple_sine(params: MultiZetaParams,

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CertificateError, InvalidParameterError, SpectralMismatchError
 from .graphs import Graph, arc_table
 from .matrices import (
@@ -305,24 +303,29 @@ def _cluster(values: list[complex], tol: float, source: str) -> SpectrumReport:
 
 def spectrum(g: Graph, tol: float = SPECTRUM_CLUSTER_TOL) -> SpectrumReport:
     """Eigenvalues of the Grover operator, clustered from a dense solve."""
+    import numpy as np
+
     u = np.array(grover_matrix(g).to_float_rows(), dtype=float)
     vals = np.linalg.eigvals(u)
     return _cluster([complex(v) for v in vals], tol, "direct")
 
 
-def transition_spectrum(g: Graph, tol: float = SPECTRUM_CLUSTER_TOL) -> SpectrumReport:
-    """Eigenvalues of the random-walk transition matrix.
+def _transition_eigenvalues(g: Graph) -> list[float]:
+    """Eigenvalues of P from its symmetric conjugate D^(-1/2) A D^(-1/2),
+    which has the same spectrum and keeps the solve real-symmetric."""
+    import numpy as np
 
-    Computed from the symmetric conjugate D^(-1/2) A D^(-1/2), which has
-    the same spectrum and keeps the solve real-symmetric.
-    """
     adj, _ = adjacency_and_degree(g)
     a = np.array(adj.to_float_rows(), dtype=float)
     d = np.array([float(x) for x in g.degrees()])
     scal = 1.0 / np.sqrt(d)
     sym = a * scal[:, None] * scal[None, :]
-    vals = np.linalg.eigvalsh(sym)
-    return _cluster([complex(v) for v in vals], tol, "direct")
+    return [float(v) for v in np.linalg.eigvalsh(sym)]
+
+
+def transition_spectrum(g: Graph, tol: float = SPECTRUM_CLUSTER_TOL) -> SpectrumReport:
+    """Eigenvalues of the random-walk transition matrix."""
+    return _cluster([complex(v) for v in _transition_eigenvalues(g)], tol, "direct")
 
 
 def spectrum_via_konno_sato(g: Graph, tol: float = SPECTRUM_CLUSTER_TOL) -> SpectrumReport:
@@ -333,16 +336,8 @@ def spectrum_via_konno_sato(g: Graph, tol: float = SPECTRUM_CLUSTER_TOL) -> Spec
     (lambda^2 - 1)^(m-n) factor contributes +1 and -1 with multiplicity
     m - n when m >= n and cancels one pair per unit when m < n (trees).
     """
-    adj, _ = adjacency_and_degree(g)
-    a = np.array(adj.to_float_rows(), dtype=float)
-    d = np.array([float(x) for x in g.degrees()])
-    scal = 1.0 / np.sqrt(d)
-    sym = a * scal[:, None] * scal[None, :]
-    mus = np.linalg.eigvalsh(sym)
-
     mapped: list[complex] = []
-    for mu in mus:
-        mu = float(mu)
+    for mu in _transition_eigenvalues(g):
         # sqrt(1 - mu^2) turns solver noise eps near |mu| = 1 into
         # sqrt(2 eps), so snap exact +-1 eigenvalues first
         if abs(abs(mu) - 1.0) <= 1e-12:

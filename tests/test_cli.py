@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +22,15 @@ def cycle4_file(tmp_path):
     path = tmp_path / "c4.json"
     path.write_text(generate("cycle", 4).to_json())
     return str(path)
+
+
+def _run_process(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, as a user runs it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "azw.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def _payload(result):
@@ -168,6 +182,25 @@ def test_abszeta_Z_domain_error_exit(runner):
     assert result.exit_code == 1
     status, _ = _payload(result)
     assert status == "domain_error"
+
+
+def test_abszeta_zeta_gamma_overflow_is_domain_error():
+    proc = _run_process("abszeta", "zeta", "--n", "2,2,2", "--s", "300")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["status"] == "domain_error"
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_stderr_reports_compute_then_import_time():
+    proc = _run_process("graph", "gen", "cycle", "3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["status"] == "ok"
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2
+    compute = re.fullmatch(r"elapsed ([0-9.]+) ms", lines[0])
+    imported = re.fullmatch(r"import ([0-9.]+) ms", lines[1])
+    assert compute and imported
+    assert float(compute.group(1)) >= 0.0 and float(imported.group(1)) > 0.0
 
 
 def test_abszeta_spectrum_json(runner, cycle4_file):

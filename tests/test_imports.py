@@ -1,0 +1,62 @@
+"""numpy and scipy load on first use, and the lazy `quad` stays patchable.
+
+`import azw` must not pay for scipy.integrate (most of a second) or numpy:
+only the float spectra and the Mellin quadrature use them. The check runs
+in a fresh interpreter, because this test session has long since loaded
+both.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import azw.abszeta
+from azw import CyclotomicForm, PrecisionPolicy, absolute_hurwitz_Z
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+QUICK = PrecisionPolicy(target=1e-10)
+
+CHILD = textwrap.dedent("""
+    import sys
+    import azw.cli
+    heavy = ("numpy", "scipy", "scipy.integrate")
+    print("after import:", sorted(m for m in heavy if m in sys.modules))
+    from azw import CyclotomicForm, absolute_hurwitz_Z, generate, spectrum
+    rep = spectrum(generate("cycle", 4))
+    print("multiplicities:", sorted(mult for _, mult in rep.entries))
+    z = absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), 3.0, 1.0, "mellin")
+    print("mellin:", z.method, z.value.real > 0)
+    print("after use:", sorted(m for m in heavy if m in sys.modules))
+""")
+
+
+def test_import_azw_cli_loads_neither_numpy_nor_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.splitlines()
+    assert out == [
+        "after import: []",
+        "multiplicities: [2, 2, 2, 2]",
+        "mellin: mellin True",
+        "after use: ['numpy', 'scipy', 'scipy.integrate']",
+    ]
+
+
+def test_mellin_calls_quad_through_the_module_attribute(monkeypatch):
+    # replacing azw.abszeta.quad must reroute every Mellin quadrature
+    form = CyclotomicForm(0, (), (2, 2))
+    plain = absolute_hurwitz_Z(form, 3.0, 1.0, "mellin", QUICK)
+    calls = []
+    lazy_quad = azw.abszeta.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])  # the integration interval
+        return lazy_quad(*args, **kwargs)
+
+    monkeypatch.setattr(azw.abszeta, "quad", counting_quad)
+    hooked = absolute_hurwitz_Z(form, 3.0, 1.0, "mellin", QUICK)
+    assert len(calls) == 2
+    assert hooked == plain

@@ -239,6 +239,14 @@ def test_gamma_rejects_lattice_shift():
         multiple_gamma(MultiZetaParams(2, -2.0, (1.0, 1.0)))
 
 
+def test_gamma_overflow_is_a_domain_error():
+    # log Gamma_3(306, (2,2,2)) is about 2.2e6, far past exp's range; the
+    # call must refuse instead of leaking OverflowError
+    from azw.errors import DomainError
+    with pytest.raises(DomainError, match="overflows double precision"):
+        multiple_gamma(MultiZetaParams(3, 306.0, (2.0, 2.0, 2.0)))
+
+
 def test_sine_order1_values():
     assert abs(multiple_sine(MultiZetaParams(1, 0.5, (1.0,))) - 2.0) < 1e-9
     assert abs(multiple_sine(MultiZetaParams(1, 0.25, (1.0,))) - math.sqrt(2)) < 1e-9
