@@ -32,6 +32,7 @@ from .multizeta import (
     DEFAULT_POLICY,
     MultiZetaParams,
     PrecisionPolicy,
+    _collapsed_series,
     _rectangular_series,
     log_gamma,
     multiple_gamma,
@@ -42,6 +43,8 @@ from .multizeta import (
 from .polynomials import ExactPolynomial, ExactRationalFunction
 
 _METHODS = ("structure", "series", "mellin")
+# subdivision limit of each adaptive Mellin quadrature
+_QUAD_LIMIT = 300
 
 
 @dataclass(frozen=True)
@@ -321,94 +324,8 @@ def _series_value(form: CyclotomicForm, w: complex, s: complex,
 
     if any(shift.real <= 0 for _, shift in subsets):
         raise DomainError("series needs every lattice base s - l/2 + |n| - m(I) to have Re > 0")
-    period = float(form.den_exponents[0])
-    mult_poly = _multiplicity_poly(form.b)
-    mult_deriv = [j * c for j, c in enumerate(mult_poly)][1:] or [0.0]
-
-    def _poly(coeffs, t: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
-    def term(k: float) -> complex:
-        inner = 0j
-        for sign, shift in subsets:
-            inner += sign * cmath.exp(-w * cmath.log(shift + k * period))
-        return _poly(mult_poly, k) * inner
-
-    def term_prime(k: float) -> complex:
-        mult = _poly(mult_poly, k)
-        dmult = _poly(mult_deriv, k)
-        out = 0j
-        for sign, shift in subsets:
-            base = shift + k * period
-            p = cmath.exp(-w * cmath.log(base))
-            out += sign * (dmult * p - w * period * mult * p / base)
-        return out
-
-    # Tail handled Euler-Maclaurin style: closed-form integral + g/2 - g'/12,
-    # so the summation can stop once |g'(k)|/12 clears the target.
-    total = 0j
-    k = 0
-    block = 256
-    while True:
-        for _ in range(block):
-            total += term(k)
-            k += 1
-        scale = max(abs(total), 1e-30)
-        residual = abs(term_prime(k)) / 12.0
-        if residual <= policy.target * scale:
-            break
-        if k >= policy.series_budget:
-            raise DomainError(f"series budget exhausted at k = {k}")
-        block = min(block * 2, 8192, policy.series_budget - k)
-    total += _combined_tail_integral(mult_poly, subsets, period, float(k), w)
-    total += term(k) / 2.0 - term_prime(k) / 12.0
-    return AbsZetaValue(value=total, method="series",
-                        error=abs(term_prime(k)) / 12.0 + policy.target * scale)
-
-
-def _multiplicity_poly(b: int) -> list[float]:
-    """Coefficients in t of the lattice multiplicity binom(t+b-1, b-1)."""
-    coeffs = [1.0]
-    for i in range(1, b):
-        nxt = [0.0] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j] += c * i
-            nxt[j + 1] += c
-        coeffs = nxt
-    fact = float(math.factorial(b - 1))
-    return [c / fact for c in coeffs]
-
-
-def _combined_tail_integral(mult_poly: list[float], subsets: list[tuple[int, complex]],
-                            period: float, start: float, w: complex) -> complex:
-    """Signed sum over subsets of the closed-form series tail integral.
-
-    With v = x + t*period, each integral of mult(t) v^(-w) splits into
-    pieces C_e(x) v(start)^(e+1-w) / (w-e-1). At integer w = e+1 the
-    individual pieces diverge but their signed coefficient sum vanishes
-    (same cancellation as the structure method), leaving the l'Hopital
-    limit -sum sign C_e(x) log(v(start)).
-    """
-    n = period
-    total = 0j
-    for sign, x in subsets:
-        # rewrite mult(t) in powers of v via t = (v - x)/n
-        v_coeffs = [0j] * len(mult_poly)
-        for j, a in enumerate(mult_poly):
-            scale = a / n ** j
-            for i in range(j + 1):
-                v_coeffs[i] += scale * math.comb(j, i) * (-x) ** (j - i)
-        v_start = x + start * n
-        log_v = cmath.log(v_start)
-        for e, c_e in enumerate(v_coeffs):
-            if w.imag == 0.0 and w.real == e + 1:
-                total += sign * c_e * (-log_v) / n
-            else:
-                total += sign * c_e * cmath.exp((e + 1 - w) * log_v) / ((w - e - 1) * n)
-    return total
+    value, err = _collapsed_series(form.b, float(form.den_exponents[0]), subsets, w, policy)
+    return AbsZetaValue(value=value, method="series", error=err)
 
 
 def quad(*args, **kwargs):
@@ -474,9 +391,9 @@ def _mellin_value(form: CyclotomicForm, w: complex, s: complex,
     while abs(tail(v_hi)) > 1e-18 and v_hi < 700.0:
         v_hi += 1.0
     part1, err1 = quad(near_zero, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11,
-                       limit=policy.quad_limit, complex_func=True)
+                       limit=_QUAD_LIMIT, complex_func=True)
     part2, err2 = quad(tail, -45.0, v_hi, epsabs=1e-13, epsrel=1e-11,
-                       limit=policy.quad_limit, complex_func=True)
+                       limit=_QUAD_LIMIT, complex_func=True)
     inv_gamma = cmath.exp(-log_gamma(w, policy))
     value = (part1 + part2) * inv_gamma
     quad_err = (abs(err1) + abs(err2)) * abs(inv_gamma)
@@ -498,6 +415,8 @@ def absolute_hurwitz_Z(form: CyclotomicForm, w, s, method: str = "structure",
     mellin: adaptive quadrature of the Mellin integral (Re(w) > b - a).
     """
     w, s = complex(w), complex(s)
+    if not (cmath.isfinite(w) and cmath.isfinite(s)):
+        raise DomainError(f"Z_f needs a finite w and s, got w={w}, s={s}")
     if method == "structure":
         return _structure_value(form, w, s, policy)
     if method == "series":
@@ -517,6 +436,8 @@ def absolute_zeta(form: CyclotomicForm, s,
     if not form.equal_den_periods:
         raise DomainError("absolute zeta needs equal denominator exponents")
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"absolute zeta needs a finite s, got {s}")
     period = float(form.den_exponents[0])
     value = 1 + 0j
     try:

@@ -51,7 +51,7 @@ def _emit(status: str, payload, started: float) -> None:
 def _run(started: float, fn) -> None:
     try:
         status, payload = fn()
-    except (AzwError, OSError, ValueError) as exc:
+    except (AzwError, ArithmeticError, OSError, ValueError) as exc:
         _emit("domain_error", {"error": type(exc).__name__, "message": str(exc)}, started)
         return
     _emit(status, payload, started)

@@ -2,10 +2,11 @@
 
 One precision-controlled kernel carries everything: an Euler-Maclaurin
 Hurwitz zeta with an analytic s-derivative (no finite differences in any
-shipped path). Multiple Hurwitz zetas with equal periods reduce to linear
-combinations of that kernel at shifted arguments; multiple gammas are the
-exponential of the s-derivative at 0, and multiple sines the usual
-reflection product of gammas.
+shipped path), escalated by the one ladder it shares with digamma.
+Multiple Hurwitz zetas with equal periods reduce to linear combinations of
+that kernel at shifted arguments; multiple gammas are the exponential of
+the s-derivative at 0, and multiple sines the usual reflection product of
+gammas.
 
 Shift arguments may be negative (non-lattice): powers of negative reals
 use the principal branch throughout, which keeps every identity in the
@@ -31,32 +32,28 @@ from .errors import (
 
 _TWO_PI = 2.0 * math.pi
 
+# Euler-Maclaurin shift count N and highest Bernoulli index of the first
+# rung of the escalation ladder, and the most lattice points any one sum
+# may take (ladder, collapsed series or rectangle).
+_EM_SHIFT = 24
+_BERNOULLI_ORDER = 12
+_SERIES_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Accuracy knobs for the numerical kernels.
+    """Relative error the numerical kernels aim for.
 
-    target         relative error aimed for (floored at 1e-13: beyond that
-                    double precision cannot certify anything)
-    em_shift       Euler-Maclaurin shift count M before the tail expansion
-    bernoulli_order  highest Bernoulli index used in the tail (even, <= 30)
-    series_budget  maximum number of lattice points a direct series may sum
-    quad_limit     subdivision limit for adaptive quadrature
+    target is floored at 1e-13: beyond that double precision cannot
+    certify anything. The AZW_PRECISION environment variable sets it for
+    the command line.
     """
 
     target: float = 1e-13
-    em_shift: int = 24
-    bernoulli_order: int = 12
-    series_budget: int = 2_000_000
-    quad_limit: int = 300
 
     def __post_init__(self):
         if self.target < 1e-13:
             raise InvalidParameterError("target below 1e-13 is not certifiable in doubles")
-        if self.bernoulli_order % 2 != 0 or not (2 <= self.bernoulli_order <= 30):
-            raise InvalidParameterError("bernoulli_order must be even and in [2, 30]")
-        if self.em_shift < 1 or self.series_budget < 1 or self.quad_limit < 1:
-            raise InvalidParameterError("em_shift, series_budget and quad_limit must be positive")
 
 
 DEFAULT_POLICY = PrecisionPolicy()
@@ -95,46 +92,69 @@ def _bernoulli_numbers(upto: int) -> list[Fraction]:
 _BERNOULLI = _bernoulli_numbers(30)
 
 
-def _validate_shift(a) -> complex:
+def _em_ladder(s: complex, a, policy: PrecisionPolicy, pull, attempt) -> complex:
+    """Escalate an Euler-Maclaurin sum at s and shift a until its last
+    Bernoulli tail term clears the target.
+
+    pull(a) -> (prefix, a') moves the shift into Re(a') >= 1 and sums the
+    terms it passes over; attempt(a', N, order) -> (value, last) sums N
+    terms from a', closes the tail with Bernoulli indices up to `order` and
+    reports the size of the last tail term. Each rung doubles N (and raises
+    the order to 30) up to 8 N0. A ladder whose largest rung would sum more
+    than the series budget is refused before any work, so a huge |s| or
+    shift cannot hang the caller.
+    """
     a = complex(a)
-    if a.imag == 0.0:
-        ar = a.real
-        if ar <= 0 and float(ar).is_integer():
-            raise NonPositiveShiftError(f"shift {ar} lies on the nonpositive integer lattice")
-    return a
+    if a.imag == 0.0 and a.real <= 0 and float(a.real).is_integer():
+        raise NonPositiveShiftError(f"shift {a.real} lies on the nonpositive integer lattice")
+    if not (cmath.isfinite(s) and cmath.isfinite(a)):
+        raise InvalidParameterError(
+            f"Euler-Maclaurin sums need a finite s and shift, got s={s}, a={a}")
+    # negative Re(s) makes the shifted terms grow, so fewer of them keeps
+    # summation cancellation small; the Bernoulli tail still converges and
+    # the escalation below guards the remainder either way
+    if s.real < 0:
+        shift0 = min(_EM_SHIFT, max(8, int(abs(s)) + 4))
+    else:
+        shift0 = max(_EM_SHIFT, int(abs(s)) + 8)
+    terms = max(0, math.ceil(1.0 - a.real)) + 8 * shift0
+    if terms > _SERIES_BUDGET:
+        raise PrecisionError(
+            f"Euler-Maclaurin ladder for s={s}, a={a} needs {float(terms):.3g} terms, "
+            f"over the budget of {_SERIES_BUDGET}")
+    prefix, a = pull(a)
+    attempts = ((shift0, _BERNOULLI_ORDER),
+                (2 * shift0, min(_BERNOULLI_ORDER + 4, 30)),
+                (4 * shift0, 30),
+                (8 * shift0, 30))
+    for shift_count, bern_order in attempts:
+        value, last = attempt(a, shift_count, bern_order)
+        result = value + prefix
+        if last <= policy.target * max(abs(result), 1.0):
+            return result
+    raise PrecisionError(
+        f"Euler-Maclaurin tail stalled at {last:.3e} for s={s}, a={a}")
 
 
 def _hurwitz_core(s: complex, a: complex, deriv: bool, policy: PrecisionPolicy) -> complex:
     """Euler-Maclaurin evaluation of the Hurwitz zeta or its s-derivative.
 
-    Valid for any s != 1. Shift a is moved into Re(a) >= 1 first; pulled
-    terms with negative base use principal-branch powers.
+    Valid for any finite s != 1. Shift a is moved into Re(a) >= 1 first;
+    pulled terms with negative base use principal-branch powers.
     """
     if s == 1:
         raise PoleError(1, "Hurwitz zeta has its pole at s = 1")
-    a = _validate_shift(a)
 
-    prefix = 0j
-    while a.real < 1.0:
-        lg = cmath.log(a)
-        term = cmath.exp(-s * lg)
-        prefix += (-lg * term) if deriv else term
-        a += 1
+    def pull(a):
+        prefix = 0j
+        while a.real < 1.0:
+            lg = cmath.log(a)
+            term = cmath.exp(-s * lg)
+            prefix += (-lg * term) if deriv else term
+            a += 1
+        return prefix, a
 
-    # negative Re(s) makes the shifted terms grow, so fewer of them keeps
-    # summation cancellation small; the Bernoulli tail still converges and
-    # the escalation below guards the remainder either way
-    if s.real < 0:
-        shift0 = min(policy.em_shift, max(8, int(abs(s)) + 4))
-    else:
-        shift0 = max(policy.em_shift, int(abs(s)) + 8)
-    order0 = policy.bernoulli_order
-    attempts = ((shift0, order0),
-                (2 * shift0, min(order0 + 4, 30)),
-                (4 * shift0, 30),
-                (8 * shift0, 30))
-    last_exc_scale = None
-    for shift_count, bern_order in attempts:
+    def attempt(a, shift_count, bern_order):
         val = 0j
         dval = 0j
         for k in range(shift_count):
@@ -177,15 +197,11 @@ def _hurwitz_core(s: complex, a: complex, deriv: bool, policy: PrecisionPolicy) 
                 last_sizes = (abs(term), abs(dterm))
             else:
                 last_sizes = (abs(term), 0.0)
+        if deriv:
+            return dval, last_sizes[1]
+        return val, last_sizes[0]
 
-        result = (dval if deriv else val) + prefix
-        tol = policy.target * max(abs(result), 1.0)
-        last = last_sizes[1] if deriv else last_sizes[0]
-        if last <= tol:
-            return result
-        last_exc_scale = last
-    raise PrecisionError(
-        f"Euler-Maclaurin tail stalled at {last_exc_scale:.3e} for s={s}, a={a}")
+    return _em_ladder(s, a, policy, pull, attempt)
 
 
 def hurwitz_zeta(s, a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
@@ -208,18 +224,17 @@ def log_gamma(x, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
 
 def digamma(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """psi(a) by Euler-Maclaurin; also the negative of the finite Laurent
-    coefficient of the Hurwitz zeta at its s = 1 pole."""
-    a = _validate_shift(a)
-    prefix = 0j
-    while a.real < 1.0:
-        prefix -= 1.0 / a
-        a += 1
-    shift0 = policy.em_shift
-    attempts = ((shift0, policy.bernoulli_order),
-                (2 * shift0, min(policy.bernoulli_order + 4, 30)),
-                (4 * shift0, 30),
-                (8 * shift0, 30))
-    for shift_count, bern_order in attempts:
+    coefficient of the Hurwitz zeta at its s = 1 pole, whose ladder it
+    climbs."""
+
+    def pull(a):
+        prefix = 0j
+        while a.real < 1.0:
+            prefix -= 1.0 / a
+            a += 1
+        return prefix, a
+
+    def attempt(a, shift_count, bern_order):
         acc = 0j
         for k in range(shift_count):
             acc -= 1.0 / (a + k)
@@ -230,10 +245,9 @@ def digamma(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
             term = float(_BERNOULLI[2 * j]) / (2 * j) * big ** (-2 * j)
             acc -= term
             last = abs(term)
-        result = acc + prefix
-        if last <= policy.target * max(abs(result), 1.0):
-            return result
-    raise PrecisionError(f"digamma tail stalled for a = {a}")
+        return acc, last
+
+    return _em_ladder(1 + 0j, a, policy, pull, attempt)
 
 
 def _equal_reduction_terms(order: int, y: complex) -> tuple[tuple[int, complex], ...]:
@@ -363,61 +377,101 @@ def multiple_sine(params: MultiZetaParams,
 # closed-form integral-corrected tail; the unequal case truncates a
 # rectangle and certifies the remainder with nested integral comparisons.
 
-def _collapsed_tail_integral(order: int, x: complex, period: float,
-                             start: float, s: complex) -> complex:
-    """Closed form of the tail integral of binom(t+r-1, r-1) (x+tN)^(-s)."""
-    v = x + start * period
-    n = period
+def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]],
+                      s: complex, policy: PrecisionPolicy) -> tuple[complex, float]:
+    """Signed sum over (sign, x) terms of the equal-period lattice series
+    sum_k binom(k+order-1, order-1) (x + k period)^(-s); returns (value, err).
 
-    def vpow(e: complex) -> complex:
-        return cmath.exp(e * cmath.log(v))
-
-    if order == 1:
-        return vpow(1 - s) / (n * (s - 1))
-    if order == 2:
-        return (vpow(2 - s) / (s - 2) + (n - x) * vpow(1 - s) / (s - 1)) / (n * n)
-    c0 = (n - x) * (2 * n - x)
-    return (vpow(3 - s) / (s - 3) + (3 * n - 2 * x) * vpow(2 - s) / (s - 2)
-            + c0 * vpow(1 - s) / (s - 1)) / (2 * n ** 3)
-
-
-def _multiplicity(order: int, k: int) -> int:
-    if order == 1:
-        return 1
-    if order == 2:
-        return k + 1
-    return (k + 1) * (k + 2) // 2
-
-
-def _collapsed_series(params: MultiZetaParams, s: complex,
-                      policy: PrecisionPolicy) -> tuple[complex, float]:
-    """Equal-period direct series with an integral-bracketed tail.
-
-    Returns (value, error bound); the bound is half the first omitted term,
-    rigorous for real s and real positive shift.
+    Every Re(x) must be positive. The tail is handled Euler-Maclaurin
+    style, closed-form integral + g/2 - g'/12, so the summation stops once
+    |g'(k)|/12 clears the target; err is that term plus the target times
+    the partial sum.
+    Raises PrecisionError when the series budget runs out first.
     """
-    period = params.periods[0]
-    x = complex(params.shift)
-    sigma = s.real
+    mult_poly = _multiplicity_poly(order)
+    mult_deriv = [j * c for j, c in enumerate(mult_poly)][1:] or [0.0]
+
+    def _poly(coeffs, t: float) -> float:
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
+
+    def term(k: float) -> complex:
+        inner = 0j
+        for sign, shift in terms:
+            inner += sign * cmath.exp(-s * cmath.log(shift + k * period))
+        return _poly(mult_poly, k) * inner
+
+    def term_prime(k: float) -> complex:
+        mult = _poly(mult_poly, k)
+        dmult = _poly(mult_deriv, k)
+        out = 0j
+        for sign, shift in terms:
+            base = shift + k * period
+            p = cmath.exp(-s * cmath.log(base))
+            out += sign * (dmult * p - s * period * mult * p / base)
+        return out
+
     total = 0j
     k = 0
-    block = 64
+    block = 256
     while True:
         for _ in range(block):
-            base = x + k * period
-            total += _multiplicity(params.order, k) * cmath.exp(-s * cmath.log(base))
+            total += term(k)
             k += 1
-        g_next = _multiplicity(params.order, k) * abs(x + k * period) ** (-sigma)
-        bound = g_next / 2.0
-        if bound <= policy.target * max(abs(total), 1.0):
+        scale = max(abs(total), 1e-30)
+        residual = abs(term_prime(k)) / 12.0
+        if residual <= policy.target * scale:
             break
-        if k >= policy.series_budget:
-            raise PrecisionError(
-                f"collapsed series budget exhausted at k={k}, bound {bound:.3e}")
-        block = min(2 * block, 8192, policy.series_budget - k)
-    tail = _collapsed_tail_integral(params.order, x, period, float(k), s)
-    gk = _multiplicity(params.order, k) * cmath.exp(-s * cmath.log(x + k * period))
-    return total + tail + gk / 2.0, max(abs(gk) / 2.0, 1e-18)
+        if k >= _SERIES_BUDGET:
+            raise PrecisionError(f"series budget exhausted at k = {k}")
+        block = min(block * 2, 8192, _SERIES_BUDGET - k)
+    total += _combined_tail_integral(mult_poly, terms, period, float(k), s)
+    total += term(k) / 2.0 - term_prime(k) / 12.0
+    return total, abs(term_prime(k)) / 12.0 + policy.target * scale
+
+
+def _multiplicity_poly(b: int) -> list[float]:
+    """Coefficients in t of the lattice multiplicity binom(t+b-1, b-1)."""
+    coeffs = [1.0]
+    for i in range(1, b):
+        nxt = [0.0] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            nxt[j] += c * i
+            nxt[j + 1] += c
+        coeffs = nxt
+    fact = float(math.factorial(b - 1))
+    return [c / fact for c in coeffs]
+
+
+def _combined_tail_integral(mult_poly: list[float], terms: list[tuple[int, complex]],
+                            period: float, start: float, s: complex) -> complex:
+    """Signed sum over terms of the closed-form series tail integral.
+
+    With v = x + t*period, each integral of mult(t) v^(-s) splits into
+    pieces C_e(x) v(start)^(e+1-s) / (s-e-1). At integer s = e+1 the
+    individual pieces diverge but their signed coefficient sum vanishes
+    (same cancellation as the structure method of the absolute zeta),
+    leaving the l'Hopital limit -sum sign C_e(x) log(v(start)).
+    """
+    n = period
+    total = 0j
+    for sign, x in terms:
+        # rewrite mult(t) in powers of v via t = (v - x)/n
+        v_coeffs = [0j] * len(mult_poly)
+        for j, a in enumerate(mult_poly):
+            scale = a / n ** j
+            for i in range(j + 1):
+                v_coeffs[i] += scale * math.comb(j, i) * (-x) ** (j - i)
+        v_start = x + start * n
+        log_v = cmath.log(v_start)
+        for e, c_e in enumerate(v_coeffs):
+            if s.imag == 0.0 and s.real == e + 1:
+                total += sign * c_e * (-log_v) / n
+            else:
+                total += sign * c_e * cmath.exp((e + 1 - s) * log_v) / ((s - e - 1) * n)
+    return total
 
 
 def _power_bound_rep(sigma: float, periods: tuple[float, ...]) -> list[tuple[float, int]]:
@@ -453,7 +507,7 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
         points = 1
         for c in cuts:
             points *= c + 1
-        if points > policy.series_budget:
+        if points > _SERIES_BUDGET:
             raise PrecisionError(f"lattice budget exceeded with cuts {cuts}")
         total = 0j
         for idx in _iproduct(*(range(c + 1) for c in cuts)):
@@ -481,7 +535,8 @@ def direct_series(params: MultiZetaParams, s,
     if s.real <= params.order:
         raise UnsupportedContinuationError("direct series needs Re(s) > order")
     if params.equal_periods and complex(params.shift).real > 0:
-        value, _ = _collapsed_series(params, s, policy)
+        value, _ = _collapsed_series(params.order, params.periods[0],
+                                     [(1, complex(params.shift))], s, policy)
     else:
         value, _ = _rectangular_series(params, s, policy)
     return value

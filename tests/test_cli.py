@@ -24,13 +24,13 @@ def cycle4_file(tmp_path):
     return str(path)
 
 
-def _run_process(*args: str) -> subprocess.CompletedProcess:
+def _run_process(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, as a user runs it."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "azw.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def _payload(result):
@@ -186,6 +186,22 @@ def test_abszeta_Z_domain_error_exit(runner):
 
 def test_abszeta_zeta_gamma_overflow_is_domain_error():
     proc = _run_process("abszeta", "zeta", "--n", "2,2,2", "--s", "300")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["status"] == "domain_error"
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("Z", "--n", "2,2", "--w", "1e300", "--s", "1"),
+    ("Z", "--n", "2,2", "--w", "inf", "--s", "1"),
+    ("Z", "--n", "2,2", "--w", "3", "--s", "inf", "--method", "series"),
+    ("zeta", "--n", "2,2", "--s", "1e300"),
+    ("Z", "--n", "2,2", "--w", "inf", "--s", "1", "--method", "series"),
+])
+def test_extreme_floats_are_domain_errors(argv):
+    # a huge s must be refused before any sum starts, and an infinite one
+    # before it reaches int() or a series that can never converge
+    proc = _run_process("abszeta", *argv, timeout=20)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["status"] == "domain_error"
     assert "Traceback" not in proc.stdout + proc.stderr

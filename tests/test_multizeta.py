@@ -22,7 +22,12 @@ from azw.errors import (
     PoleError,
     UnsupportedContinuationError,
 )
-from azw.multizeta import _BERNOULLI, digamma, multiple_hurwitz_zeta_finite_part
+from azw.multizeta import (
+    _BERNOULLI,
+    _collapsed_series,
+    digamma,
+    multiple_hurwitz_zeta_finite_part,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -30,10 +35,6 @@ EULER_GAMMA = 0.5772156649015329
 def test_policy_validation():
     with pytest.raises(InvalidParameterError):
         PrecisionPolicy(target=1e-16)
-    with pytest.raises(InvalidParameterError):
-        PrecisionPolicy(bernoulli_order=13)
-    with pytest.raises(InvalidParameterError):
-        PrecisionPolicy(bernoulli_order=32)
     PrecisionPolicy(target=1e-9)  # fine
 
 
@@ -55,6 +56,26 @@ def test_bernoulli_table():
 
 def test_basel():
     assert abs(hurwitz_zeta(2, 1) - math.pi ** 2 / 6) < 1e-12
+
+
+@pytest.mark.parametrize("s,a", [(math.inf, 1.0), (complex(2.0, math.nan), 1.0),
+                                 (2.0, -math.inf), (2.0, math.nan)])
+def test_ladder_refuses_non_finite_arguments(s, a):
+    with pytest.raises(InvalidParameterError):
+        hurwitz_zeta(s, a)
+
+
+def test_ladder_refuses_work_over_the_series_budget():
+    # s = 1e7 would sum 8e7 terms and a shift of -3e6 pulls 3e6 terms in;
+    # both are refused before summing, while s = 1e5 is still in budget
+    from azw.errors import PrecisionError
+    with pytest.raises(PrecisionError):
+        hurwitz_zeta(1e7, 0.5)
+    with pytest.raises(PrecisionError):
+        hurwitz_zeta_ds(2.0, -3e6 + 0.5)
+    with pytest.raises(PrecisionError):
+        digamma(-3e6 + 0.5)
+    assert abs(hurwitz_zeta(1e5, 1.0) - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("s", [-1.5, 0.5, 2.5])
@@ -187,6 +208,8 @@ def test_reduction_matches_direct_series():
         reduced = multiple_hurwitz_zeta(params, s, pol)
         series = direct_series(params, s, pol)
         assert abs(reduced - series) <= 1e-10 * max(1.0, abs(reduced))
+        value, err = _collapsed_series(r, n_period, [(1, complex(x))], complex(s), pol)
+        assert abs(value - reduced) <= err
 
 
 def test_direct_series_domain():
@@ -195,22 +218,23 @@ def test_direct_series_domain():
 
 
 def test_rectangular_path_matches_collapsed():
-    from azw.multizeta import _collapsed_series, _rectangular_series
+    from azw.multizeta import _rectangular_series
     pol = PrecisionPolicy(target=1e-10)
     params = MultiZetaParams(2, 1.3, (2.0, 2.0))
-    a, _ = _collapsed_series(params, complex(5.5), pol)
+    a, _ = _collapsed_series(2, 2.0, [(1, 1.3 + 0j)], complex(5.5), pol)
     b, _ = _rectangular_series(params, complex(5.5), pol)
     assert abs(a - b) < 1e-9
 
 
-def test_rectangular_budget_is_enforced():
+def test_rectangular_budget_is_enforced(monkeypatch):
     # near the convergence edge the certified bound cannot reach the
     # target within budget; the failure must be loud, not silent
+    from azw import multizeta
     from azw.errors import PrecisionError
-    from azw.multizeta import _rectangular_series
-    pol = PrecisionPolicy(target=1e-13, series_budget=10_000)
+    monkeypatch.setattr(multizeta, "_SERIES_BUDGET", 10_000)
+    pol = PrecisionPolicy(target=1e-13)
     with pytest.raises(PrecisionError):
-        _rectangular_series(MultiZetaParams(2, 1.0, (1.0, 2.0)), complex(2.2), pol)
+        multizeta._rectangular_series(MultiZetaParams(2, 1.0, (1.0, 2.0)), complex(2.2), pol)
 
 
 def test_gamma_order1_is_scaled_gamma():

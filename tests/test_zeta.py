@@ -202,6 +202,21 @@ def test_cycle_counts_match_arc_matrix_traces(seed):
         power = power @ b
 
 
+def test_automorphy_rejects_a_perturbed_charpoly(monkeypatch):
+    import azw.zeta as zeta_module
+    from azw.errors import CertificateError
+
+    def perturbed(g):
+        z = grover_zeta(g)
+        coeffs = list(z.den.coeffs)
+        coeffs[1] += 1
+        return ExactRationalFunction.from_parts(z.num, P(coeffs))
+
+    monkeypatch.setattr(zeta_module, "grover_zeta", perturbed)
+    with pytest.raises(CertificateError, match="exact automorphy"):
+        automorphic_weight(generate("complete", 4))
+
+
 def test_automorphy_certificates(corpus):
     expected = {name: (CORPUS_DET_U[name], -2 * g.m) for name, g in corpus.items()}
     assert expected["C4"] == (1, -8)
