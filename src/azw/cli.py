@@ -2,15 +2,19 @@
 
 Every command writes one deterministic JSON document to stdout
 ({"status": ..., "payload": ...}) and two timings to stderr, and exits
-nonzero exactly when the status is not "ok". The first stderr line,
-`elapsed <ms> ms`, is the command's compute time; the second,
-`import <ms> ms`, runs from the start of `import azw` to the start of the
-command. The AZW_PRECISION environment variable overrides the default
-PrecisionPolicy target.
+nonzero exactly when the status is not "ok"; `abszeta spectrum --csv`
+prints CSV rows instead when it succeeds. A missing or unreadable file is
+a `domain_error` document like any other failure; only usage errors exit
+2 with click's message. The first stderr line, `elapsed <ms> ms`, is the
+command's compute time; the second, `import <ms> ms`, runs from the start
+of `import azw` to the start of the command. All of this happens in one
+place, `_runner`. The AZW_PRECISION environment variable overrides the
+default PrecisionPolicy target.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -34,27 +38,33 @@ def _policy() -> PrecisionPolicy:
     return PrecisionPolicy(target=float(raw))
 
 
-def _report_times(started: float) -> None:
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    click.echo(f"elapsed {elapsed_ms:.1f} ms", err=True)
-    click.echo(f"import {(started - _IMPORT_STARTED) * 1000.0:.1f} ms", err=True)
+def _runner(body):
+    """Run a command body and report its outcome; the one place that times,
+    maps errors, prints and sets the exit code.
 
+    The body returns (status, payload). A str payload is printed as it is
+    (the `--csv` rendering); anything else goes out as the JSON document.
+    AzwError, ArithmeticError, OSError and ValueError become a
+    `domain_error` document. Exit code 1 when the status is not "ok".
+    """
 
-def _emit(status: str, payload, started: float) -> None:
-    doc = {"status": status, "payload": payload}
-    click.echo(json.dumps(doc, indent=2, sort_keys=False))
-    _report_times(started)
-    if status != "ok":
-        sys.exit(1)
+    @functools.wraps(body)
+    def command(**kwargs) -> None:
+        started = time.perf_counter()
+        try:
+            status, payload = body(**kwargs)
+        except (AzwError, ArithmeticError, OSError, ValueError) as exc:
+            status, payload = "domain_error", {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(payload, str):
+            click.echo(payload)
+        else:
+            click.echo(json.dumps({"status": status, "payload": payload}, indent=2))
+        click.echo(f"elapsed {(time.perf_counter() - started) * 1000.0:.1f} ms", err=True)
+        click.echo(f"import {(started - _IMPORT_STARTED) * 1000.0:.1f} ms", err=True)
+        if status != "ok":
+            sys.exit(1)
 
-
-def _run(started: float, fn) -> None:
-    try:
-        status, payload = fn()
-    except (AzwError, ArithmeticError, OSError, ValueError) as exc:
-        _emit("domain_error", {"error": type(exc).__name__, "message": str(exc)}, started)
-        return
-    _emit(status, payload, started)
+    return command
 
 
 def _load_graph(path: str) -> gr.Graph:
@@ -102,28 +112,24 @@ def graph() -> None:
 @graph.command("gen")
 @click.argument("family")
 @click.argument("params", nargs=-1, type=int)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", metavar="FILE", default=None,
               help="Write the graph JSON to a file instead of embedding it.")
-def graph_gen(family: str, params: tuple[int, ...], out: str | None) -> None:
+@_runner
+def graph_gen(family: str, params: tuple[int, ...], out: str | None):
     """Generate a named family member, e.g. `graph gen cycle 4`."""
-    started = time.perf_counter()
-
-    def work():
-        g = gr.generate(family, *params)
-        if out is not None:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(g.to_json())
-        return "ok", _graph_summary(g)
-
-    _run(started, work)
+    g = gr.generate(family, *params)
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(g.to_json())
+    return "ok", _graph_summary(g)
 
 
 @graph.command("info")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-def graph_info(path: str) -> None:
+@click.argument("path")
+@_runner
+def graph_info(path: str):
     """Validate a graph file and print its summary."""
-    started = time.perf_counter()
-    _run(started, lambda: ("ok", _graph_summary(_load_graph(path))))
+    return "ok", _graph_summary(_load_graph(path))
 
 
 # ------------------------------------------------------------------- zeta
@@ -134,50 +140,53 @@ def zeta() -> None:
 
 
 @zeta.command("grover")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-def zeta_grover(path: str) -> None:
+@click.argument("path")
+@_runner
+def zeta_grover(path: str):
     """Grover-walk zeta 1/det(I - uU) as exact coefficients."""
-    started = time.perf_counter()
-    _run(started, lambda: ("ok", _rational_payload(zt.grover_zeta(_load_graph(path)))))
+    return "ok", _rational_payload(zt.grover_zeta(_load_graph(path)))
 
 
 @zeta.command("ihara")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("path")
 @click.option("--route", type=click.Choice(["edge", "bass"]), default="bass",
               show_default=True)
-def zeta_ihara(path: str, route: str) -> None:
+@_runner
+def zeta_ihara(path: str, route: str):
     """Reduced-cycle zeta via the edge-matrix or Bass determinant route."""
-    started = time.perf_counter()
-
-    def work():
-        f = zt.ihara_zeta(_load_graph(path), route=route)
-        payload = {"route": route}
-        payload.update(_rational_payload(f))
-        return "ok", payload
-
-    _run(started, work)
+    f = zt.ihara_zeta(_load_graph(path), route=route)
+    return "ok", {"route": route, **_rational_payload(f)}
 
 
 # ----------------------------------------------------------------- verify
 
-def _corpus_or_file(path: str | None, corpus: bool) -> list[tuple[str, gr.Graph]]:
+def _file_or_corpus(fn):
+    fn = click.option("--corpus", is_flag=True, help="Run the built-in graph corpus.")(fn)
+    return click.argument("path", required=False)(fn)
+
+
+def _verify_each(path: str | None, corpus: bool, identity: str, check, residual):
+    """Run check(graph) -> report dict on FILE or on the corpus.
+
+    Each report reads {graph, <report keys>, identity, residual}; a check
+    that names its identity itself keeps it where it put it.
+    residual(report) is the command's residual rule.
+    """
     if corpus == (path is not None):
         raise click.UsageError("give exactly one of FILE or --corpus")
-    if corpus:
-        return list(gr.builtin_corpus())
-    return [(path, _load_graph(path))]
-
-
-def _verify_many(named, one) -> tuple[str, dict]:
+    named = gr.builtin_corpus() if corpus else [(path, _load_graph(path))]
     reports = []
-    all_ok = True
     for name, g in named:
-        rep = one(g)
-        all_ok &= rep["status"] == "ok"
-        rep_named = {"graph": name}
-        rep_named.update(rep)
-        reports.append(rep_named)
+        rep = {"graph": name, **check(g)}
+        rep.setdefault("identity", identity)
+        rep["residual"] = residual(rep)
+        reports.append(rep)
+    all_ok = all(rep["status"] == "ok" for rep in reports)
     return ("ok" if all_ok else "verification_failed"), {"reports": reports}
+
+
+def _zero_if_ok(rep: dict) -> int:
+    return 0 if rep["status"] == "ok" else 1
 
 
 @main.group()
@@ -186,86 +195,54 @@ def verify() -> None:
 
 
 @verify.command("konno-sato")
-@click.argument("path", required=False, type=click.Path(exists=True, dir_okay=False))
-@click.option("--corpus", is_flag=True, help="Run the built-in graph corpus.")
-def verify_konno_sato_cmd(path: str | None, corpus: bool) -> None:
+@_file_or_corpus
+@_runner
+def verify_konno_sato_cmd(path: str | None, corpus: bool):
     """Exact arc-side vs vertex-side determinant identity."""
-    started = time.perf_counter()
-
-    def one(g: gr.Graph) -> dict:
-        rep = zt.verify_konno_sato(g).to_dict()
-        rep["identity"] = "konno-sato"
-        rep["residual"] = 0 if rep["status"] == "ok" else len(rep["mismatches"])
-        return rep
-
-    _run(started, lambda: _verify_many(_corpus_or_file(path, corpus), one))
+    return _verify_each(path, corpus, "konno-sato",
+                        lambda g: zt.verify_konno_sato(g).to_dict(),
+                        lambda rep: 0 if rep["status"] == "ok" else len(rep["mismatches"]))
 
 
 @verify.command("ihara-bass")
-@click.argument("path", required=False, type=click.Path(exists=True, dir_okay=False))
-@click.option("--corpus", is_flag=True)
-def verify_ihara_bass_cmd(path: str | None, corpus: bool) -> None:
+@_file_or_corpus
+@_runner
+def verify_ihara_bass_cmd(path: str | None, corpus: bool):
     """Edge-matrix route vs Bass route, plus the positive-support bridge."""
-    started = time.perf_counter()
-
-    def one(g: gr.Graph) -> dict:
-        rep = zt.verify_ihara_routes(g).to_dict()
-        rep["identity"] = "ihara-bass"
-        rep["residual"] = 0 if rep["status"] == "ok" else 1
-        return rep
-
-    _run(started, lambda: _verify_many(_corpus_or_file(path, corpus), one))
+    return _verify_each(path, corpus, "ihara-bass",
+                        lambda g: zt.verify_ihara_routes(g).to_dict(), _zero_if_ok)
 
 
 @verify.command("ihara-series")
-@click.argument("path", required=False, type=click.Path(exists=True, dir_okay=False))
-@click.option("--corpus", is_flag=True)
+@_file_or_corpus
 @click.option("--r-max", type=int, default=6, show_default=True)
-def verify_ihara_series_cmd(path: str | None, corpus: bool, r_max: int) -> None:
+@_runner
+def verify_ihara_series_cmd(path: str | None, corpus: bool, r_max: int):
     """Brute-force reduced-cycle counts vs the log-series coefficients."""
-    started = time.perf_counter()
-
-    def one(g: gr.Graph) -> dict:
-        rep = zt.verify_ihara_series(g, r_max=r_max).to_dict()
-        rep["identity"] = "ihara-series"
-        rep["residual"] = 0 if rep["status"] == "ok" else 1
-        return rep
-
-    _run(started, lambda: _verify_many(_corpus_or_file(path, corpus), one))
+    return _verify_each(path, corpus, "ihara-series",
+                        lambda g: zt.verify_ihara_series(g, r_max=r_max).to_dict(), _zero_if_ok)
 
 
 @verify.command("automorphic")
-@click.argument("path", required=False, type=click.Path(exists=True, dir_okay=False))
-@click.option("--corpus", is_flag=True)
-def verify_automorphic_cmd(path: str | None, corpus: bool) -> None:
+@_file_or_corpus
+@_runner
+def verify_automorphic_cmd(path: str | None, corpus: bool):
     """Automorphy certificate (C, D) = (det U, -2m) with exact identity."""
-    started = time.perf_counter()
-
-    def one(g: gr.Graph) -> dict:
-        cert = zt.automorphic_weight(g)
-        rep = {"status": "ok", "identity": "automorphic"}
-        rep.update(cert.to_dict())
-        rep["residual"] = cert.max_residual
-        return rep
-
-    _run(started, lambda: _verify_many(_corpus_or_file(path, corpus), one))
+    return _verify_each(path, corpus, "automorphic",
+                        lambda g: {"status": "ok", "identity": "automorphic",
+                                   **zt.automorphic_weight(g).to_dict()},
+                        lambda rep: rep["max_residual"])
 
 
 @verify.command("functional-eq")
 @click.option("--n", "cycle_n", type=int, required=True)
 @click.option("--s", "s_value", type=float, required=True)
 @click.option("--tol", type=float, default=1e-6, show_default=True)
-def verify_functional_eq_cmd(cycle_n: int, s_value: float, tol: float) -> None:
+@_runner
+def verify_functional_eq_cmd(cycle_n: int, s_value: float, tol: float):
     """Cycle-graph absolute zeta functional equation at one point."""
-    started = time.perf_counter()
-
-    def work():
-        rep = az.verify_functional_equation(cycle_n, s_value, tol=tol, policy=_policy())
-        d = rep.to_dict()
-        d["identity"] = "functional-eq"
-        return ("ok" if rep.ok else "verification_failed"), d
-
-    _run(started, work)
+    rep = az.verify_functional_equation(cycle_n, s_value, tol=tol, policy=_policy())
+    return ("ok" if rep.ok else "verification_failed"), {**rep.to_dict(), "identity": "functional-eq"}
 
 
 # ---------------------------------------------------------------- abszeta
@@ -288,32 +265,28 @@ def _form_from_options(l: int, m: str, n: str) -> az.CyclotomicForm:
 @click.option("--s", "s_value", type=float, required=True)
 @click.option("--method", type=click.Choice(["structure", "series", "mellin", "all"]),
               default="structure", show_default=True)
+@_runner
 def abszeta_Z(l_value: int, m_value: str, n_value: str,
-              w_value: float, s_value: float, method: str) -> None:
+              w_value: float, s_value: float, method: str):
     """Absolute Hurwitz zeta Z_f(w, s) of the given form."""
-    started = time.perf_counter()
-
-    def work():
-        form = _form_from_options(l_value, m_value, n_value)
-        policy = _policy()
-        methods = ["structure", "series", "mellin"] if method == "all" else [method]
-        results = [az.absolute_hurwitz_Z(form, w_value, s_value, mth, policy).to_dict()
-                   for mth in methods]
-        payload = {"form": form.to_dict(), "w": w_value, "s": s_value, "results": results}
-        if len(results) > 1:
-            deltas = []
-            for i in range(len(results)):
-                for j in range(i + 1, len(results)):
-                    vi = complex(*results[i]["value"])
-                    vj = complex(*results[j]["value"])
-                    deltas.append({
-                        "methods": [results[i]["method"], results[j]["method"]],
-                        "relative_delta": abs(vi - vj) / max(abs(vi), 1e-300),
-                    })
-            payload["pairwise"] = deltas
-        return "ok", payload
-
-    _run(started, work)
+    form = _form_from_options(l_value, m_value, n_value)
+    policy = _policy()
+    methods = ["structure", "series", "mellin"] if method == "all" else [method]
+    results = [az.absolute_hurwitz_Z(form, w_value, s_value, mth, policy).to_dict()
+               for mth in methods]
+    payload = {"form": form.to_dict(), "w": w_value, "s": s_value, "results": results}
+    if len(results) > 1:
+        deltas = []
+        for i in range(len(results)):
+            for j in range(i + 1, len(results)):
+                vi = complex(*results[i]["value"])
+                vj = complex(*results[j]["value"])
+                deltas.append({
+                    "methods": [results[i]["method"], results[j]["method"]],
+                    "relative_delta": abs(vi - vj) / max(abs(vi), 1e-300),
+                })
+        payload["pairwise"] = deltas
+    return "ok", payload
 
 
 @abszeta_group.command("zeta")
@@ -321,46 +294,29 @@ def abszeta_Z(l_value: int, m_value: str, n_value: str,
 @click.option("--m", "m_value", default="")
 @click.option("--n", "n_value", required=True)
 @click.option("--s", "s_value", type=float, required=True)
-def abszeta_zeta(l_value: int, m_value: str, n_value: str, s_value: float) -> None:
+@_runner
+def abszeta_zeta(l_value: int, m_value: str, n_value: str, s_value: float):
     """Absolute zeta zeta_f(s) as the product of multiple gammas."""
-    started = time.perf_counter()
-
-    def work():
-        form = _form_from_options(l_value, m_value, n_value)
-        result = az.absolute_zeta(form, s_value, _policy())
-        payload = {"form": form.to_dict(), "s": s_value}
-        payload.update(result.to_dict())
-        return "ok", payload
-
-    _run(started, work)
+    form = _form_from_options(l_value, m_value, n_value)
+    result = az.absolute_zeta(form, s_value, _policy())
+    return "ok", {"form": form.to_dict(), "s": s_value, **result.to_dict()}
 
 
 @abszeta_group.command("spectrum")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("path")
 @click.option("--csv", "as_csv", is_flag=True, help="Emit CSV rows instead of JSON.")
-def abszeta_spectrum(path: str, as_csv: bool) -> None:
+@_runner
+def abszeta_spectrum(path: str, as_csv: bool):
     """Grover spectrum of a graph, cross-checked against the mapped route."""
-    started = time.perf_counter()
+    direct, mapped = zt.matched_spectra(_load_graph(path))
     if as_csv:
-        try:
-            direct, _ = zt.matched_spectra(_load_graph(path))
-        except AzwError as exc:
-            click.echo(f"error,{type(exc).__name__},{exc}", err=True)
-            sys.exit(1)
-        click.echo("re,im,multiplicity")
-        for value, mult in direct.entries:
-            click.echo(f"{value.real:.12g},{value.imag:.12g},{mult}")
-        _report_times(started)
-        return
-
-    def work():
-        direct, mapped = zt.matched_spectra(_load_graph(path))
-        payload = direct.to_dict()
-        payload["consistent_with_mapped_route"] = True
-        payload["mapped_source"] = mapped.source
-        return "ok", payload
-
-    _run(started, work)
+        rows = ["re,im,multiplicity"]
+        rows += [f"{value.real:.12g},{value.imag:.12g},{mult}" for value, mult in direct.entries]
+        return "ok", "\n".join(rows)
+    payload = direct.to_dict()
+    payload["consistent_with_mapped_route"] = True
+    payload["mapped_source"] = mapped.source
+    return "ok", payload
 
 
 if __name__ == "__main__":

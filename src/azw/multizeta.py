@@ -44,16 +44,17 @@ _SERIES_BUDGET = 2_000_000
 class PrecisionPolicy:
     """Relative error the numerical kernels aim for.
 
-    target is floored at 1e-13: beyond that double precision cannot
-    certify anything. The AZW_PRECISION environment variable sets it for
-    the command line.
+    target is a finite number in [1e-13, 1): below 1e-13 double precision
+    cannot certify anything, and at 1 or above no digit is certified. The
+    AZW_PRECISION environment variable sets it for the command line.
     """
 
     target: float = 1e-13
 
     def __post_init__(self):
-        if self.target < 1e-13:
-            raise InvalidParameterError("target below 1e-13 is not certifiable in doubles")
+        if not 1e-13 <= self.target < 1.0:
+            raise InvalidParameterError(
+                f"target must be a relative error in [1e-13, 1), got {self.target}")
 
 
 DEFAULT_POLICY = PrecisionPolicy()
@@ -90,6 +91,10 @@ def _bernoulli_numbers(upto: int) -> list[Fraction]:
 
 
 _BERNOULLI = _bernoulli_numbers(30)
+# Bernoulli tail coefficients for j = 1..15 at index j - 1: B_2j/(2j)! for
+# the Hurwitz kernel and B_2j/(2j) for digamma
+_HURWITZ_TAIL = tuple(float(_BERNOULLI[2 * j]) / math.factorial(2 * j) for j in range(1, 16))
+_DIGAMMA_TAIL = tuple(float(_BERNOULLI[2 * j]) / (2 * j) for j in range(1, 16))
 
 
 def _em_ladder(s: complex, a, policy: PrecisionPolicy, pull, attempt) -> complex:
@@ -102,7 +107,8 @@ def _em_ladder(s: complex, a, policy: PrecisionPolicy, pull, attempt) -> complex
     reports the size of the last tail term. Each rung doubles N (and raises
     the order to 30) up to 8 N0. A ladder whose largest rung would sum more
     than the series budget is refused before any work, so a huge |s| or
-    shift cannot hang the caller.
+    shift cannot hang the caller; a term that overflows double precision
+    raises DomainError.
     """
     a = complex(a)
     if a.imag == 0.0 and a.real <= 0 and float(a.real).is_integer():
@@ -122,16 +128,20 @@ def _em_ladder(s: complex, a, policy: PrecisionPolicy, pull, attempt) -> complex
         raise PrecisionError(
             f"Euler-Maclaurin ladder for s={s}, a={a} needs {float(terms):.3g} terms, "
             f"over the budget of {_SERIES_BUDGET}")
-    prefix, a = pull(a)
     attempts = ((shift0, _BERNOULLI_ORDER),
                 (2 * shift0, min(_BERNOULLI_ORDER + 4, 30)),
                 (4 * shift0, 30),
                 (8 * shift0, 30))
-    for shift_count, bern_order in attempts:
-        value, last = attempt(a, shift_count, bern_order)
-        result = value + prefix
-        if last <= policy.target * max(abs(result), 1.0):
-            return result
+    try:
+        prefix, pulled = pull(a)
+        for shift_count, bern_order in attempts:
+            value, last = attempt(pulled, shift_count, bern_order)
+            result = value + prefix
+            if last <= policy.target * max(abs(result), 1.0):
+                return result
+    except OverflowError as exc:
+        raise DomainError(
+            f"Euler-Maclaurin terms overflow double precision at s={s}, shift {a}") from exc
     raise PrecisionError(
         f"Euler-Maclaurin tail stalled at {last:.3e} for s={s}, a={a}")
 
@@ -187,7 +197,7 @@ def _hurwitz_core(s: complex, a: complex, deriv: bool, policy: PrecisionPolicy) 
             for i in range(lo, 2 * j - 1):
                 dprod = dprod * (s + i) + prod
                 prod = prod * (s + i)
-            coeff = float(_BERNOULLI[2 * j]) / math.factorial(2 * j)
+            coeff = _HURWITZ_TAIL[j - 1]
             power = cmath.exp((-s - 2 * j + 1) * lg_big)
             term = coeff * prod * power
             val += term
@@ -242,7 +252,7 @@ def digamma(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
         acc += cmath.log(big) - 1.0 / (2.0 * big)
         last = math.inf
         for j in range(1, bern_order // 2 + 1):
-            term = float(_BERNOULLI[2 * j]) / (2 * j) * big ** (-2 * j)
+            term = _DIGAMMA_TAIL[j - 1] * big ** (-2 * j)
             acc -= term
             last = abs(term)
         return acc, last
@@ -273,7 +283,12 @@ def _equal_period_value(params: MultiZetaParams, s: complex, deriv: bool,
     period = params.periods[0]
     y = complex(params.shift) / period
     ln_n = math.log(period)
-    scale = cmath.exp(-s * ln_n)
+    try:
+        scale = cmath.exp(-s * ln_n)
+    except OverflowError as exc:
+        raise DomainError(
+            f"period scale {period}^(-s) overflows double precision at s={s}, "
+            f"shift {params.shift}") from exc
     total = 0j
     dtotal = 0j
     for j, coeff in _equal_reduction_terms(params.order, y):
@@ -386,7 +401,8 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
     style, closed-form integral + g/2 - g'/12, so the summation stops once
     |g'(k)|/12 clears the target; err is that term plus the target times
     the partial sum.
-    Raises PrecisionError when the series budget runs out first.
+    Raises PrecisionError when the series budget runs out first, and
+    DomainError when a term overflows double precision.
     """
     mult_poly = _multiplicity_poly(order)
     mult_deriv = [j * c for j, c in enumerate(mult_poly)][1:] or [0.0]
@@ -416,20 +432,26 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
     total = 0j
     k = 0
     block = 256
-    while True:
-        for _ in range(block):
-            total += term(k)
-            k += 1
-        scale = max(abs(total), 1e-30)
-        residual = abs(term_prime(k)) / 12.0
-        if residual <= policy.target * scale:
-            break
-        if k >= _SERIES_BUDGET:
-            raise PrecisionError(f"series budget exhausted at k = {k}")
-        block = min(block * 2, 8192, _SERIES_BUDGET - k)
-    total += _combined_tail_integral(mult_poly, terms, period, float(k), s)
-    total += term(k) / 2.0 - term_prime(k) / 12.0
-    return total, abs(term_prime(k)) / 12.0 + policy.target * scale
+    try:
+        while True:
+            for _ in range(block):
+                total += term(k)
+                k += 1
+            scale = max(abs(total), 1e-30)
+            residual = abs(term_prime(k)) / 12.0
+            if residual <= policy.target * scale:
+                break
+            if k >= _SERIES_BUDGET:
+                raise PrecisionError(f"series budget exhausted at k = {k}")
+            block = min(block * 2, 8192, _SERIES_BUDGET - k)
+        total += _combined_tail_integral(mult_poly, terms, period, float(k), s)
+        total += term(k) / 2.0 - term_prime(k) / 12.0
+        return total, abs(term_prime(k)) / 12.0 + policy.target * scale
+    except OverflowError as exc:
+        shifts = ", ".join(str(x) for _, x in terms)
+        raise DomainError(
+            f"lattice series terms overflow double precision at s={s}, "
+            f"shifts {shifts}") from exc
 
 
 def _multiplicity_poly(b: int) -> list[float]:
@@ -494,7 +516,8 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
     Needs Re(shift) > 0 and Re(s) > order. The tail over each slab where
     one index exceeds its cut is bounded by nested integral comparison;
     the sum of slab bounds must drop below the target or the budget is
-    declared exhausted.
+    declared exhausted. A term that overflows double precision raises
+    DomainError.
     """
     sigma = s.real
     x = complex(params.shift)
@@ -503,25 +526,29 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
     periods = params.periods
     r = params.order
     cuts = [16] * r
-    while True:
-        points = 1
-        for c in cuts:
-            points *= c + 1
-        if points > _SERIES_BUDGET:
-            raise PrecisionError(f"lattice budget exceeded with cuts {cuts}")
-        total = 0j
-        for idx in _iproduct(*(range(c + 1) for c in cuts)):
-            base = x + sum(k * w for k, w in zip(idx, periods))
-            total += cmath.exp(-s * cmath.log(base))
-        bound = 0.0
-        for j in range(r):
-            others = periods[:j] + periods[j + 1:] + (periods[j],)
-            rep = _power_bound_rep(sigma, others)
-            y_j = x.real + (cuts[j] + 1) * periods[j]
-            bound += _eval_bound_rep(rep, y_j, sigma)
-        if bound <= policy.target * max(abs(total), 1.0):
-            return total, max(bound, 1e-18)
-        cuts = [2 * c for c in cuts]
+    try:
+        while True:
+            points = 1
+            for c in cuts:
+                points *= c + 1
+            if points > _SERIES_BUDGET:
+                raise PrecisionError(f"lattice budget exceeded with cuts {cuts}")
+            total = 0j
+            for idx in _iproduct(*(range(c + 1) for c in cuts)):
+                base = x + sum(k * w for k, w in zip(idx, periods))
+                total += cmath.exp(-s * cmath.log(base))
+            bound = 0.0
+            for j in range(r):
+                others = periods[:j] + periods[j + 1:] + (periods[j],)
+                rep = _power_bound_rep(sigma, others)
+                y_j = x.real + (cuts[j] + 1) * periods[j]
+                bound += _eval_bound_rep(rep, y_j, sigma)
+            if bound <= policy.target * max(abs(total), 1.0):
+                return total, max(bound, 1e-18)
+            cuts = [2 * c for c in cuts]
+    except OverflowError as exc:
+        raise DomainError(
+            f"lattice series terms overflow double precision at s={s}, shift {x}") from exc
 
 
 def direct_series(params: MultiZetaParams, s,

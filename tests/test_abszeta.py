@@ -14,9 +14,11 @@ from azw import (
     automorphic_data,
     automorphic_weight,
     cycle_zeta_form,
+    direct_series,
     factor_cyclotomic,
     generate,
     grover_zeta,
+    hurwitz_zeta,
     hurwitz_zeta_ds,
     multiple_gamma,
     multiple_hurwitz_zeta,
@@ -253,8 +255,28 @@ def test_functional_equation_singular_points():
         verify_functional_equation(3, 3.0)
     with pytest.raises(SingularPointError):
         verify_functional_equation(4, -8.0)
+    # far up both lattices: k = 65 on {k n} and on {-2n - k n}
+    with pytest.raises(SingularPointError):
+        verify_functional_equation(3, 195.0)
+    with pytest.raises(SingularPointError):
+        verify_functional_equation(3, -201.0)
     with pytest.raises(InvalidParameterError):
         verify_functional_equation(2, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hurwitz_zeta(1e5, 0.5),
+    lambda: absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), -1e300, 1),
+    lambda: absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), 1e300, 1, "mellin"),
+    lambda: absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), 1e300, -3.5, "series"),
+    lambda: absolute_zeta(CyclotomicForm(0, (), (3, 3, 3)), 1e300),
+    lambda: direct_series(MultiZetaParams(2, 0.5, (1.0, 2.0)), 1e5),
+], ids=["hurwitz", "Z-structure", "Z-mellin", "Z-series", "zeta", "rectangle"])
+def test_overflowing_powers_are_domain_errors(call):
+    # finite inputs whose powers overflow a double are refused with the
+    # arguments named, not leaked as a bare OverflowError
+    with pytest.raises(DomainError, match=r"overflows? double precision at (s|w)="):
+        call()
 
 
 def test_exact_resubstitution_of_factored_forms(corpus):

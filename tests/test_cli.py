@@ -141,6 +141,64 @@ def test_verify_requires_file_or_corpus(runner):
     assert runner.invoke(main, ["verify", "konno-sato"]).exit_code != 0
 
 
+@pytest.mark.parametrize("command, keys", [
+    ("konno-sato", ["graph", "status", "lhs", "rhs", "mismatches", "identity", "residual"]),
+    ("ihara-bass", ["graph", "status", "min_degree", "routes_equal",
+                    "support_equals_edge_matrix", "zeta_num", "zeta_den", "identity",
+                    "residual"]),
+    ("ihara-series", ["graph", "status", "r_max", "counts", "from_series", "identity",
+                      "residual"]),
+    ("automorphic", ["graph", "status", "identity", "C", "D", "max_residual", "residual"]),
+])
+def test_verify_report_key_order(runner, cycle4_file, command, keys):
+    result = runner.invoke(main, ["verify", command, cycle4_file])
+    assert result.exit_code == 0
+    _, payload = _payload(result)
+    assert list(payload["reports"][0]) == keys
+
+
+def test_verify_functional_eq_key_order(runner):
+    result = runner.invoke(main, ["verify", "functional-eq", "--n", "3", "--s", "0.7"])
+    _, payload = _payload(result)
+    assert list(payload) == ["n", "s", "lhs", "rhs", "residual", "status", "identity"]
+
+
+def _command_paths(group, prefix=()):
+    yield prefix
+    for name, cmd in group.commands.items():
+        if hasattr(cmd, "commands"):
+            yield from _command_paths(cmd, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+@pytest.mark.parametrize("path", list(_command_paths(main)),
+                         ids=lambda path: " ".join(path) or "main")
+def test_help_exits_zero(runner, path):
+    result = runner.invoke(main, [*path, "--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("Usage:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", "info"),
+    ("verify", "konno-sato"),
+    ("zeta", "grover"),
+], ids=" ".join)
+def test_missing_file_is_domain_error(runner, tmp_path, argv):
+    result = runner.invoke(main, [*argv, str(tmp_path / "missing.json")])
+    assert result.exit_code == 1
+    status, payload = _payload(result)
+    assert status == "domain_error"
+    assert payload["error"] == "FileNotFoundError"
+
+
+def test_directory_path_is_domain_error(runner, tmp_path):
+    result = runner.invoke(main, ["graph", "info", str(tmp_path)])
+    assert result.exit_code == 1
+    assert _payload(result)[0] == "domain_error"
+
+
 def test_verify_functional_eq(runner):
     result = runner.invoke(main, ["verify", "functional-eq", "--n", "3", "--s", "0.7"])
     assert result.exit_code == 0
@@ -207,6 +265,17 @@ def test_extreme_floats_are_domain_errors(argv):
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
+def test_overflow_message_names_the_arguments():
+    proc = _run_process("abszeta", "Z", "--n", "2,2", "--w", "-1e300", "--s", "1", timeout=20)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "domain_error"
+    assert doc["payload"]["error"] == "DomainError"
+    assert doc["payload"]["message"] != "math range error"
+    assert "s=(-1e+300" in doc["payload"]["message"]
+
+
 def test_stderr_reports_compute_then_import_time():
     proc = _run_process("graph", "gen", "cycle", "3")
     assert proc.returncode == 0
@@ -237,6 +306,20 @@ def test_abszeta_spectrum_csv(runner, cycle4_file):
     assert all(line.endswith(",2") for line in lines[1:])
 
 
+@pytest.mark.parametrize("csv", [(), ("--csv",)], ids=["json", "csv"])
+def test_abszeta_spectrum_undecodable_file(runner, tmp_path, csv):
+    # --csv has no error path of its own: a failure is the same JSON document
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00 not utf-8")
+    result = runner.invoke(main, ["abszeta", "spectrum", str(bad), *csv])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    status, payload = _payload(result)
+    assert status == "domain_error"
+    assert payload["error"] == "UnicodeDecodeError"
+
+
 def test_output_is_deterministic(runner, cycle4_file):
     a = runner.invoke(main, ["zeta", "grover", cycle4_file]).stdout
     b = runner.invoke(main, ["zeta", "grover", cycle4_file]).stdout
@@ -255,3 +338,10 @@ def test_precision_env_override(runner):
                                "--s", "0.5"],
                         env={"AZW_PRECISION": "1e-20"})
     assert bad.exit_code == 1
+    for raw in ("nan", "inf"):
+        bad = runner.invoke(main, ["abszeta", "zeta", "--l", "0", "--n", "3,3",
+                                   "--s", "0.5"],
+                            env={"AZW_PRECISION": raw})
+        assert bad.exit_code == 1
+        status, payload = _payload(bad)
+        assert (status, payload["error"]) == ("domain_error", "InvalidParameterError")

@@ -33,8 +33,11 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def test_policy_validation():
-    with pytest.raises(InvalidParameterError):
-        PrecisionPolicy(target=1e-16)
+    # below 1e-13 doubles certify nothing; at 1 or above no digit is
+    # certified, and nan or inf is no target at all
+    for target in (1e-16, math.nan, math.inf, 1.0):
+        with pytest.raises(InvalidParameterError):
+            PrecisionPolicy(target=target)
     PrecisionPolicy(target=1e-9)  # fine
 
 
