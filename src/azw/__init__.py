@@ -6,8 +6,7 @@ functions, verifies the determinant identities linking them, and then
 evaluates the absolute Hurwitz zeta / absolute zeta of the cyclotomic
 forms those zetas produce, by three mutually cross-checking methods.
 
-numpy and scipy are imported on first use (the float spectra and the
-Mellin quadrature), not by `import azw`.
+numpy is imported on first use (the float spectra), not by `import azw`.
 """
 
 from time import perf_counter as _perf_counter

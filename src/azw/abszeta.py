@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +27,7 @@ from .errors import (
     NotCyclotomicError,
     OddPowerError,
     PoleError,
+    PrecisionError,
     QuadratureBudgetError,
     SingularPointError,
 )
@@ -43,8 +46,12 @@ from .multizeta import (
 from .polynomials import ExactPolynomial, ExactRationalFunction
 
 _METHODS = ("structure", "series", "mellin")
-# subdivision limit of each adaptive Mellin quadrature
-_QUAD_LIMIT = 300
+# x range and finest step 2^-level of the exp-sinh Mellin rule: x = -9
+# reaches log t = -6364, so t^gap vanishes for gaps down to about 0.01;
+# x = 4 reaches t = 4e18
+_DE_X_RANGE = (-9, 4)
+_DE_MAX_LEVEL = 7
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -328,25 +335,76 @@ def _series_value(form: CyclotomicForm, w: complex, s: complex,
     return AbsZetaValue(value=value, method="series", error=err)
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first Mellin evaluation.
+@lru_cache(maxsize=None)
+def _de_nodes(level: int) -> tuple[tuple[float, float, float], ...]:
+    """(log t, t, pi/2 cosh x) at the nodes that step 2^-level adds to the
+    exp-sinh rule t = exp(pi/2 sinh x): every integer x of the range at
+    level 0, the odd multiples of 2^-level after that."""
+    lo, hi = _DE_X_RANGE
+    if level == 0:
+        xs = [float(x) for x in range(lo, hi + 1)]
+    else:
+        h = 2.0 ** -level
+        xs = [lo + (2 * k + 1) * h for k in range((hi - lo) << (level - 1))]
+    half_pi = 0.5 * math.pi
+    nodes = []
+    for x in xs:
+        log_t = half_pi * math.sinh(x)
+        nodes.append((log_t, math.exp(log_t), half_pi * math.cosh(x)))
+    return tuple(nodes)
 
-    Importing scipy.integrate takes most of a second, and only the Mellin
-    method needs it, so `import azw` does not load it. `_mellin_value`
-    looks this name up at call time, so replacing `abszeta.quad` (to
-    count or time the quadratures) reroutes every Mellin integral.
+
+def quad(log_g, tol: float) -> tuple[complex, float]:
+    """Integral of exp(log_g(t, log t)) over t in (0, inf), with an error
+    estimate, by the exp-sinh double-exponential rule (Takahasi-Mori 1974).
+
+    t = exp(pi/2 sinh x) and dt = t pi/2 cosh x dx turn the integral into
+    one over x in _DE_X_RANGE whose integrand decays double-exponentially
+    at both ends, so trapezoid sums with step h = 1, 1/2, ... converge
+    fast. Each level adds the midpoints of the last and stops once two
+    successive sums agree within tol relative (or within rounding). The
+    error is the last difference plus eps * sum |terms|; when every term
+    underflows, that is 0 with error 0, for the caller to refuse. Raises
+    QuadratureBudgetError when no two levels up to 2^-_DE_MAX_LEVEL agree.
+    `_mellin_value` looks this name up at call time, so replacing
+    `abszeta.quad` (to count or time the quadratures) reroutes every
+    Mellin integral.
     """
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
+    total = 0j
+    mag = 0.0
+    previous = None
+    diff = math.inf
+    for level in range(_DE_MAX_LEVEL + 1):
+        for log_t, t, weight in _de_nodes(level):
+            exponent = log_g(t, log_t) + log_t
+            if exponent.real > -745.0:  # exp underflows to 0 below this
+                term = cmath.exp(exponent) * weight
+                total += term
+                mag += abs(term)
+        h = 2.0 ** -level
+        value = h * total
+        rounding = sys.float_info.epsilon * h * mag
+        if previous is not None:
+            diff = abs(value - previous)
+            if diff <= tol * abs(value) + rounding:
+                return value, diff + rounding
+        previous = value
+    raise QuadratureBudgetError(
+        f"exp-sinh levels still differ by {diff:.3e} at step 2^-{_DE_MAX_LEVEL}")
 
 
 def _mellin_value(form: CyclotomicForm, w: complex, s: complex,
                   policy: PrecisionPolicy) -> AbsZetaValue:
-    """Quadrature of (1/Gamma(w)) * integral of f(e^t) e^(-st) t^(w-1).
+    """(1/Gamma(w)) * integral over t > 0 of f(e^t) e^(-st) t^(w-1).
 
-    Split at t = 1. On (0, 1] the substitution t = tau^p flattens the
-    t^(w-1+a-b) endpoint; on [1, inf) the substitution t = 1 + e^v is
-    truncated where the integrand drops below 1e-18.
+    One exp-sinh quadrature over (0, inf): the integrand is evaluated in
+    log space, log f(e^t) - s t + (w - 1) log t, so neither the t^(w-1+a-b)
+    endpoint nor a slow e^(-(Re(s) - growth) t) tail overflows, and the
+    double-exponential map clusters nodes at both ends. err is the
+    quadrature estimate (last level difference plus rounding) times
+    |1/Gamma(w)|, plus 10 * target * |value|. Raises QuadratureBudgetError
+    when that estimate exceeds 1e-7 |value|, and PrecisionError when the
+    value underflows to a subnormal or to 0 (every node term underflowing).
     """
     gap = w.real - (form.b - form.a)
     if gap <= 0:
@@ -357,51 +415,53 @@ def _mellin_value(form: CyclotomicForm, w: complex, s: complex,
     if s.real <= growth:
         raise DomainError(f"Mellin tail needs Re(s) > {growth}")
 
-    def log_f_exp(t: float) -> float:
-        # log f(e^t) for t > 0; every (e^(et) - 1) factor is positive, and
-        # the log-space form cannot overflow for large t
-        acc = 0.5 * form.l * t
-        for e in form.num_exponents:
+    # f(e^t) = e^(lt/2) prod over exponents e of (e^(et) - 1)^c, with c the
+    # numerator minus the denominator multiplicity of e
+    net = Counter(form.num_exponents)
+    net.subtract(form.den_exponents)
+    factors = [(e, c, math.log(e)) for e, c in net.items() if c]
+    half_l = 0.5 * form.l
+    # For complex s the path turns to arg t = theta, half way to the ray on
+    # which e^(-(s - growth) t) stops oscillating. f(e^t) has its poles on
+    # the imaginary axis and the integrand decays in the sector swept, so
+    # the integral is unchanged; real s keeps the real axis and real logs.
+    theta = -0.5 * cmath.phase(s - growth)
+    if theta == 0.0:
+        lib, turn, tilt = math, 1.0, 0.0
+    else:
+        lib, turn, tilt = cmath, cmath.exp(1j * theta), 1j * theta
+    w1 = w - 1
+
+    def log_g(r: float, log_r: float) -> complex:
+        t = r * turn
+        log_t = log_r + tilt
+        acc = half_l * t
+        for e, c, log_e in factors:
+            # log(e^x - 1): x itself past x = 50; log(2 e^(x/2) sinh(x/2))
+            # keeps the digits of small x; below |x| = 1e-8 it is
+            # log(e) + log(t) + x/2, even where t underflows
             x = e * t
-            acc += x if x > 50.0 else math.log(math.expm1(x))
-        for e in form.den_exponents:
-            x = e * t
-            acc -= x if x > 50.0 else math.log(math.expm1(x))
-        return acc
+            if x.real > 50.0:
+                acc += c * x
+            elif abs(x) > 1e-8:
+                acc += c * (_LOG2 + 0.5 * x + lib.log(lib.sinh(0.5 * x)))
+            else:
+                acc += c * (log_e + log_t + 0.5 * x)
+        return acc - s * t + w1 * log_t + tilt
 
-    p = max(2, math.ceil(2.5 / gap))
-
-    def near_zero(tau: float) -> complex:
-        if tau == 0.0:
-            return 0j
-        t = tau ** p
-        if t == 0.0:
-            return 0j
-        exponent = log_f_exp(t) - s * t + (w - 1) * math.log(t)
-        return cmath.exp(exponent) * p * tau ** (p - 1)
-
-    def tail(v: float) -> complex:
-        t = 1.0 + math.exp(v)
-        exponent = log_f_exp(t) - s * t + (w - 1) * math.log(t) + v
-        if exponent.real < -750.0:
-            return 0j
-        return cmath.exp(exponent)
-
+    where = f"w={w}, s={s}"
     try:
-        v_hi = 1.0
-        while abs(tail(v_hi)) > 1e-18 and v_hi < 700.0:
-            v_hi += 1.0
-        part1, err1 = quad(near_zero, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11,
-                           limit=_QUAD_LIMIT, complex_func=True)
-        part2, err2 = quad(tail, -45.0, v_hi, epsabs=1e-13, epsrel=1e-11,
-                           limit=_QUAD_LIMIT, complex_func=True)
+        integral, quad_err = quad(log_g, policy.target)
     except OverflowError as exc:
-        raise DomainError(
-            f"Mellin integrand overflows double precision at w={w}, s={s}") from exc
+        raise DomainError(f"Mellin integrand overflows double precision at {where}") from exc
     inv_gamma = cmath.exp(-log_gamma(w, policy))
-    value = (part1 + part2) * inv_gamma
-    quad_err = (abs(err1) + abs(err2)) * abs(inv_gamma)
-    if quad_err > 1e-7 * abs(value) + 1e-15:
+    value = integral * inv_gamma
+    if not cmath.isfinite(value):
+        raise DomainError(f"Mellin integrand overflows double precision at {where}")
+    if abs(value) < sys.float_info.min:
+        raise PrecisionError(f"Mellin value {abs(value):.3e} underflows double precision at {where}")
+    quad_err *= abs(inv_gamma)
+    if quad_err > 1e-7 * abs(value):
         raise QuadratureBudgetError(
             f"quadrature error estimate {quad_err:.3e} too large for {value:.6e}")
     err = quad_err + 10 * policy.target * abs(value)
@@ -416,7 +476,7 @@ def absolute_hurwitz_Z(form: CyclotomicForm, w, s, method: str = "structure",
     zetas (equal denominator exponents required, b <= 3).
     series: the explicit lattice sum with an integral-corrected tail
     (Re(w) > b - a).
-    mellin: adaptive quadrature of the Mellin integral (Re(w) > b - a).
+    mellin: exp-sinh quadrature of the Mellin integral (Re(w) > b - a).
     """
     w, s = complex(w), complex(s)
     if not (cmath.isfinite(w) and cmath.isfinite(s)):

@@ -82,4 +82,4 @@ class SingularPointError(AzwError, ValueError):
 
 
 class QuadratureBudgetError(AzwError, RuntimeError):
-    """Adaptive quadrature did not converge within its budget."""
+    """A quadrature whose levels never agreed, or whose error estimate is too large."""

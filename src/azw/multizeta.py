@@ -249,10 +249,12 @@ def digamma(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
         for k in range(shift_count):
             acc -= 1.0 / (a + k)
         big = a + shift_count
-        acc += cmath.log(big) - 1.0 / (2.0 * big)
+        lg_big = cmath.log(big)
+        acc += lg_big - 1.0 / (2.0 * big)
         last = math.inf
         for j in range(1, bern_order // 2 + 1):
-            term = _DIGAMMA_TAIL[j - 1] * big ** (-2 * j)
+            # big^(-2j) through the log: squaring a huge big first overflows
+            term = _DIGAMMA_TAIL[j - 1] * cmath.exp(-2 * j * lg_big)
             acc -= term
             last = abs(term)
         return acc, last

@@ -1,5 +1,8 @@
 import cmath
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,12 +27,16 @@ from azw import (
     multiple_hurwitz_zeta,
     verify_functional_equation,
 )
+import azw.abszeta
 from azw.errors import (
+    AzwError,
     DomainError,
     InvalidParameterError,
     NotCyclotomicError,
     OddPowerError,
     PoleError,
+    PrecisionError,
+    QuadratureBudgetError,
     SingularPointError,
 )
 
@@ -207,6 +214,77 @@ def test_mellin_slow_decay_tail():
     st = absolute_hurwitz_Z(form, 3.0, -5.9, "structure", QUICK).value
     me = absolute_hurwitz_Z(form, 3.0, -5.9, "mellin", QUICK).value
     assert abs(st - me) <= 1e-6 * abs(st)
+
+
+# (l, m, n) of the forms the bench's Mellin oracle covers; all have b - a = 2
+MELLIN_FORMS = ((0, (), (2, 2)), (0, (), (3, 3)), (0, (3,), (3, 3, 3)), (0, (), (2, 3)))
+
+
+def _mellin_points(rng: random.Random, per_form: int) -> list:
+    """Seeded (form, w, s) draws that stress the exp-sinh rule: cycling
+    through plain points, gaps w - (b - a) down to 0.05 (the t = 0
+    endpoint singularity), Re(s) within 0.1-0.2 of the growth exponent (a
+    slow tail), complex w and s, s up to 1e5, and all of those at once."""
+    points = []
+    for l, m, n in MELLIN_FORMS:
+        growth = l / 2 + sum(m) - sum(n)
+        for i in range(per_form):
+            kind = i % 6
+            gap, delta, w_im, s_im = rng.uniform(0.05, 4.0), rng.uniform(0.1, 6.0), 0.0, 0.0
+            if kind in (1, 5):
+                gap = rng.uniform(0.05, 0.3)
+            if kind in (2, 5):
+                delta = rng.uniform(0.1, 0.2)
+            if kind == 3:
+                w_im, s_im = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
+            if kind == 4:
+                delta = 10.0 ** rng.uniform(1.0, 5.0)
+            if kind == 5:
+                w_im, s_im = rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)
+            points.append(((l, m, n), complex(len(n) - len(m) + gap, w_im),
+                           complex(growth + delta, s_im)))
+    return points
+
+
+def test_mellin_against_mpmath():
+    # every Mellin value lies within its err of an mpmath reference that
+    # shares no azw code, or the call raises an AzwError
+    pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import references
+
+    points = _mellin_points(random.Random(20240601), 60)
+    refused = []
+    for (l, m, n), w, s in points:
+        want = complex(references.absolute_Z(l, m, n, w, s))
+        try:
+            got = absolute_hurwitz_Z(CyclotomicForm(l, m, n), w, s, "mellin")
+        except AzwError:
+            refused.append((n, w, s))
+            continue
+        assert abs(got.value - want) <= got.error, (l, m, n, w, s, got, want)
+    # the rule answers all but a few of the hardest (small gap, complex w)
+    assert len(refused) <= len(points) // 20, refused
+
+
+def test_mellin_refuses_when_levels_never_agree(monkeypatch):
+    # one halving is too few for the 1e-13 target: a refusal, never an ok value
+    monkeypatch.setattr(azw.abszeta, "_DE_MAX_LEVEL", 1)
+    with pytest.raises(QuadratureBudgetError):
+        absolute_hurwitz_Z(cycle_zeta_form(3), 3.0, 1.0, "mellin")
+
+
+def test_mellin_refuses_underflow():
+    # at s = 1e300 the true Z is about 1/(8 s) = 1.25e-301, but every node
+    # term underflows; the rule used to return 0 with err 0
+    with pytest.raises(PrecisionError):
+        absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), 3, 1e300, "mellin")
+
+
+def test_mellin_refuses_a_subnormal_value(monkeypatch):
+    monkeypatch.setattr(azw.abszeta, "quad", lambda log_g, tol: (1e-310 + 0j, 0.0))
+    with pytest.raises(PrecisionError, match="underflows double precision at w="):
+        absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), 3, 1.0, "mellin")
 
 
 def test_series_unequal_periods_route():

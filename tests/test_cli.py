@@ -276,6 +276,17 @@ def test_overflow_message_names_the_arguments():
     assert "s=(-1e+300" in doc["payload"]["message"]
 
 
+def test_mellin_underflow_is_domain_error():
+    # every node of the Mellin integrand underflows at s = 1e300
+    proc = _run_process("abszeta", "Z", "--n", "2,2", "--w", "3", "--s", "1e300",
+                        "--method", "mellin", timeout=20)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "domain_error"
+    assert doc["payload"]["error"] == "PrecisionError"
+
+
 def test_stderr_reports_compute_then_import_time():
     proc = _run_process("graph", "gen", "cycle", "3")
     assert proc.returncode == 0

@@ -136,6 +136,12 @@ def test_digamma_anchors():
         assert abs(digamma(a + 1) - (digamma(a) + 1.0 / a)) < 1e-11
 
 
+def test_digamma_of_a_huge_shift():
+    # big^(-2j) used to square 1e300 into inf; psi(a) = log a - 1/(2a) - ...
+    want = math.log(1e300) - 1 / (2 * 1e300)
+    assert abs(digamma(1e300) - want) <= 1e-12 * want
+
+
 def test_index_collapse_order2():
     # sum (k+1)(1+k)^(-4) = zeta(3)
     got = multiple_hurwitz_zeta(MultiZetaParams(2, 1.0, (1.0, 1.0)), 4)
