@@ -9,6 +9,7 @@ derived from the table is byte-reproducible regardless of input order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -93,9 +94,14 @@ def build_graph(n: int, edges) -> Graph:
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         canon.append((min(u, v), max(u, v)))
-    if len(set(canon)) != len(canon):
-        dup = sorted(e for e in set(canon) if canon.count(e) > 1)
+    counts = Counter(canon)
+    if len(counts) != len(canon):
+        dup = sorted(e for e, c in counts.items() if c > 1)
         raise DuplicateEdgeError(f"duplicate edge(s) {dup}")
+    # a connected graph has a spanning tree; refuse before allocating O(n)
+    if len(canon) < n - 1:
+        raise DisconnectedError(
+            f"{len(canon)} edge(s) cannot connect {n} vertices, which needs {n - 1}")
     canon.sort()
 
     adj: list[list[int]] = [[] for _ in range(n)]

@@ -2,7 +2,7 @@
 
 One precision-controlled kernel carries everything: an Euler-Maclaurin
 Hurwitz zeta with an analytic s-derivative (no finite differences in any
-shipped path), escalated by the one ladder it shares with digamma.
+shipped path), whose finite part at the s = 1 pole is minus digamma.
 Multiple Hurwitz zetas with equal periods reduce to linear combinations of
 that kernel at shifted arguments; multiple gammas are the exponential of
 the s-derivative at 0, and multiple sines the usual reflection product of
@@ -91,24 +91,23 @@ def _bernoulli_numbers(upto: int) -> list[Fraction]:
 
 
 _BERNOULLI = _bernoulli_numbers(30)
-# Bernoulli tail coefficients for j = 1..15 at index j - 1: B_2j/(2j)! for
-# the Hurwitz kernel and B_2j/(2j) for digamma
+# B_2j/(2j)! for j = 1..15 at index j - 1
 _HURWITZ_TAIL = tuple(float(_BERNOULLI[2 * j]) / math.factorial(2 * j) for j in range(1, 16))
-_DIGAMMA_TAIL = tuple(float(_BERNOULLI[2 * j]) / (2 * j) for j in range(1, 16))
 
 
-def _em_ladder(s: complex, a, policy: PrecisionPolicy, pull, attempt) -> complex:
-    """Escalate an Euler-Maclaurin sum at s and shift a until its last
-    Bernoulli tail term clears the target.
+def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> complex:
+    """Euler-Maclaurin evaluation of the Hurwitz zeta or its s-derivative.
 
-    pull(a) -> (prefix, a') moves the shift into Re(a') >= 1 and sums the
-    terms it passes over; attempt(a', N, order) -> (value, last) sums N
-    terms from a', closes the tail with Bernoulli indices up to `order` and
-    reports the size of the last tail term. Each rung doubles N (and raises
-    the order to 30) up to 8 N0. A ladder whose largest rung would sum more
-    than the series budget is refused before any work, so a huge |s| or
-    shift cannot hang the caller; a term that overflows double precision
-    raises DomainError.
+    The shift is moved into Re(a) >= 1 first, summing the terms it passes
+    over with principal-branch powers. Then N terms are summed and the tail
+    is closed with Bernoulli indices up to an order; each rung of the ladder
+    doubles N (and raises the order to 30) up to 8 N0, until the last tail
+    term clears the target. At s = 1 the tail integral big^(1-s)/(s-1)
+    keeps only its finite part -log(big), so the value is the finite
+    Laurent coefficient of the pole, -psi(a); the derivative is not taken
+    there. A ladder whose largest rung would sum more than the series
+    budget is refused before any work, so a huge |s| or shift cannot hang
+    the caller; a term that overflows double precision raises DomainError.
     """
     a = complex(a)
     if a.imag == 0.0 and a.real <= 0 and float(a.real).is_integer():
@@ -128,100 +127,75 @@ def _em_ladder(s: complex, a, policy: PrecisionPolicy, pull, attempt) -> complex
         raise PrecisionError(
             f"Euler-Maclaurin ladder for s={s}, a={a} needs {float(terms):.3g} terms, "
             f"over the budget of {_SERIES_BUDGET}")
-    attempts = ((shift0, _BERNOULLI_ORDER),
-                (2 * shift0, min(_BERNOULLI_ORDER + 4, 30)),
-                (4 * shift0, 30),
-                (8 * shift0, 30))
+    rungs = ((shift0, _BERNOULLI_ORDER),
+             (2 * shift0, min(_BERNOULLI_ORDER + 4, 30)),
+             (4 * shift0, 30),
+             (8 * shift0, 30))
     try:
-        prefix, pulled = pull(a)
-        for shift_count, bern_order in attempts:
-            value, last = attempt(pulled, shift_count, bern_order)
-            result = value + prefix
-            if last <= policy.target * max(abs(result), 1.0):
+        prefix = 0j
+        pulled = a
+        while pulled.real < 1.0:
+            lg = cmath.log(pulled)
+            term = cmath.exp(-s * lg)
+            prefix += (-lg * term) if deriv else term
+            pulled += 1
+        for shift_count, bern_order in rungs:
+            acc = 0j
+            for k in range(shift_count):
+                lg = cmath.log(pulled + k)
+                term = cmath.exp(-s * lg)
+                acc += (-lg * term) if deriv else term
+            big = pulled + shift_count
+            lg_big = cmath.log(big)
+            half = cmath.exp(-s * lg_big)
+            if deriv:
+                acc += cmath.exp((1 - s) * lg_big) * (-lg_big / (s - 1) - 1 / (s - 1) ** 2)
+                acc += -lg_big * half / 2
+            else:
+                acc += -lg_big if s == 1 else cmath.exp((1 - s) * lg_big) / (s - 1)
+                acc += half / 2
+
+            # Bernoulli tail: B_{2j}/(2j)! * prod_{i=0..2j-2}(s+i) * big^(-s-2j+1).
+            # The product and its derivative are tracked together so a zero
+            # factor (s = -i) never needs a division.
+            prod = 1 + 0j
+            dprod = 0j
+            for j in range(1, bern_order // 2 + 1):
+                lo = 0 if j == 1 else 2 * j - 3
+                for i in range(lo, 2 * j - 1):
+                    dprod = dprod * (s + i) + prod
+                    prod = prod * (s + i)
+                coeff = _HURWITZ_TAIL[j - 1]
+                power = cmath.exp((-s - 2 * j + 1) * lg_big)
+                if deriv:
+                    term = coeff * power * (dprod - lg_big * prod)
+                else:
+                    term = coeff * prod * power
+                acc += term
+            result = acc + prefix
+            if abs(term) <= policy.target * max(abs(result), 1.0):
                 return result
     except OverflowError as exc:
         raise DomainError(
             f"Euler-Maclaurin terms overflow double precision at s={s}, shift {a}") from exc
     raise PrecisionError(
-        f"Euler-Maclaurin tail stalled at {last:.3e} for s={s}, a={a}")
-
-
-def _hurwitz_core(s: complex, a: complex, deriv: bool, policy: PrecisionPolicy) -> complex:
-    """Euler-Maclaurin evaluation of the Hurwitz zeta or its s-derivative.
-
-    Valid for any finite s != 1. Shift a is moved into Re(a) >= 1 first;
-    pulled terms with negative base use principal-branch powers.
-    """
-    if s == 1:
-        raise PoleError(1, "Hurwitz zeta has its pole at s = 1")
-
-    def pull(a):
-        prefix = 0j
-        while a.real < 1.0:
-            lg = cmath.log(a)
-            term = cmath.exp(-s * lg)
-            prefix += (-lg * term) if deriv else term
-            a += 1
-        return prefix, a
-
-    def attempt(a, shift_count, bern_order):
-        val = 0j
-        dval = 0j
-        for k in range(shift_count):
-            base = a + k
-            lg = cmath.log(base)
-            term = cmath.exp(-s * lg)
-            val += term
-            if deriv:
-                dval += -lg * term
-        big = a + shift_count
-        lg_big = cmath.log(big)
-
-        tail = cmath.exp((1 - s) * lg_big) / (s - 1)
-        val += tail
-        if deriv:
-            dval += cmath.exp((1 - s) * lg_big) * (-lg_big / (s - 1) - 1 / (s - 1) ** 2)
-        half = cmath.exp(-s * lg_big)
-        val += half / 2
-        if deriv:
-            dval += -lg_big * half / 2
-
-        # Bernoulli tail: B_{2j}/(2j)! * prod_{i=0..2j-2}(s+i) * big^(-s-2j+1).
-        # The product and its derivative are tracked together so a zero
-        # factor (s = -i) never needs a division.
-        prod = 1 + 0j
-        dprod = 0j
-        last_sizes = (math.inf, math.inf)
-        for j in range(1, bern_order // 2 + 1):
-            lo = 0 if j == 1 else 2 * j - 3
-            for i in range(lo, 2 * j - 1):
-                dprod = dprod * (s + i) + prod
-                prod = prod * (s + i)
-            coeff = _HURWITZ_TAIL[j - 1]
-            power = cmath.exp((-s - 2 * j + 1) * lg_big)
-            term = coeff * prod * power
-            val += term
-            if deriv:
-                dterm = coeff * power * (dprod - lg_big * prod)
-                dval += dterm
-                last_sizes = (abs(term), abs(dterm))
-            else:
-                last_sizes = (abs(term), 0.0)
-        if deriv:
-            return dval, last_sizes[1]
-        return val, last_sizes[0]
-
-    return _em_ladder(s, a, policy, pull, attempt)
+        f"Euler-Maclaurin tail stalled at {abs(term):.3e} for s={s}, a={a}")
 
 
 def hurwitz_zeta(s, a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Hurwitz zeta at complex s != 1, shift a off the nonpositive integers."""
-    return _hurwitz_core(complex(s), a, deriv=False, policy=policy)
+    s = complex(s)
+    if s == 1:
+        raise PoleError(1, "Hurwitz zeta has its pole at s = 1")
+    return _hurwitz_core(s, a, deriv=False, policy=policy)
 
 
 def hurwitz_zeta_ds(s, a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Analytic partial derivative of the Hurwitz zeta with respect to s."""
-    return _hurwitz_core(complex(s), a, deriv=True, policy=policy)
+    s = complex(s)
+    if s == 1:
+        raise PoleError(1, "Hurwitz zeta has its pole at s = 1")
+    return _hurwitz_core(s, a, deriv=True, policy=policy)
 
 
 def log_gamma(x, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
@@ -233,33 +207,9 @@ def log_gamma(x, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
 
 
 def digamma(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """psi(a) by Euler-Maclaurin; also the negative of the finite Laurent
-    coefficient of the Hurwitz zeta at its s = 1 pole, whose ladder it
-    climbs."""
-
-    def pull(a):
-        prefix = 0j
-        while a.real < 1.0:
-            prefix -= 1.0 / a
-            a += 1
-        return prefix, a
-
-    def attempt(a, shift_count, bern_order):
-        acc = 0j
-        for k in range(shift_count):
-            acc -= 1.0 / (a + k)
-        big = a + shift_count
-        lg_big = cmath.log(big)
-        acc += lg_big - 1.0 / (2.0 * big)
-        last = math.inf
-        for j in range(1, bern_order // 2 + 1):
-            # big^(-2j) through the log: squaring a huge big first overflows
-            term = _DIGAMMA_TAIL[j - 1] * cmath.exp(-2 * j * lg_big)
-            acc -= term
-            last = abs(term)
-        return acc, last
-
-    return _em_ladder(1 + 0j, a, policy, pull, attempt)
+    """psi(a): the negative of the finite Laurent coefficient of the Hurwitz
+    zeta at its s = 1 pole, which the kernel evaluates."""
+    return -_hurwitz_core(1 + 0j, a, deriv=False, policy=policy)
 
 
 def _equal_reduction_terms(order: int, y: complex) -> tuple[tuple[int, complex], ...]:
@@ -335,11 +285,11 @@ def multiple_hurwitz_zeta_finite_part(params: MultiZetaParams, pole: int,
                                       policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Finite Laurent coefficient of the equal-period multiple zeta at a pole.
 
-    At s = pole the singular reduction term is c_{pole-1}(y) zeta(1+eps, y);
-    with zeta(1+eps, y) = 1/eps - psi(y) + O(eps) and the N^(-s) prefactor
-    expanded, the constant coefficient is
-    N^(-pole) [ sum_{j != pole-1} c_j(y) zeta(pole-j, y)
-                + c_{pole-1}(y) (-psi(y) - log N) ].
+    At s = pole the singular reduction term is c_{pole-1}(y) zeta(1+eps, y),
+    and the kernel evaluates zeta(1, y) as its finite part -psi(y), so the
+    reduction at s = pole is already the finite part of the sum. Expanding
+    the N^(-s) prefactor against the 1/eps pole adds
+    -N^(-pole) c_{pole-1}(y) log N.
 
     Alternating sums of these finite parts evaluate expressions whose
     individual terms are singular but whose residues cancel.
@@ -349,15 +299,9 @@ def multiple_hurwitz_zeta_finite_part(params: MultiZetaParams, pole: int,
     if not (1 <= pole <= params.order):
         raise InvalidParameterError(f"s = {pole} is not a pole of order {params.order}")
     period = params.periods[0]
-    y = complex(params.shift) / period
-    ln_n = math.log(period)
-    total = 0j
-    for j, coeff in _equal_reduction_terms(params.order, y):
-        if j == pole - 1:
-            total += coeff * (-digamma(y, policy) - ln_n)
-        else:
-            total += coeff * _hurwitz_core(complex(pole - j), y, deriv=False, policy=policy)
-    return period ** float(-pole) * total
+    residue = dict(_equal_reduction_terms(params.order, complex(params.shift) / period))[pole - 1]
+    return (_equal_period_value(params, complex(pole), deriv=False, policy=policy)
+            - period ** float(-pole) * residue * math.log(period))
 
 
 def multiple_gamma(params: MultiZetaParams,

@@ -246,8 +246,9 @@ def verify_ihara_series(g: Graph, r_max: int = 6) -> CycleSeriesReport:
     Enumerated counts N_r must equal r * [u^r] log Z(G, u) as rationals,
     with log taken as a formal power series (no floating logs).
     """
-    if r_max > 8:
-        raise InvalidParameterError("r_max is capped at 8 to bound enumeration")
+    if not 1 <= r_max <= 8:
+        # below 1 nothing is checked; above 8 enumeration is unbounded
+        raise InvalidParameterError(f"r_max must be in 1..8, got {r_max}")
     counts = count_reduced_cycles(g, r_max)
     log_z = log_zeta_series(ihara_zeta(g, route="bass"), r_max)
     from_series = tuple(r * log_z[r] for r in range(1, r_max + 1))

@@ -128,6 +128,14 @@ def test_verify_ihara_series_single(runner, tmp_path):
     assert payload["reports"][0]["counts"] == [0, 0, 6, 0, 0, 6]
 
 
+def test_verify_ihara_series_refuses_an_empty_range(runner):
+    result = runner.invoke(main, ["verify", "ihara-series", "--corpus", "--r-max", "-3"])
+    assert result.exit_code == 1
+    status, payload = _payload(result)
+    assert status == "domain_error"
+    assert payload["error"] == "InvalidParameterError"
+
+
 def test_verify_automorphic(runner, cycle4_file):
     result = runner.invoke(main, ["verify", "automorphic", cycle4_file])
     assert result.exit_code == 0
@@ -285,6 +293,20 @@ def test_mellin_underflow_is_domain_error():
     doc = json.loads(proc.stdout)
     assert doc["status"] == "domain_error"
     assert doc["payload"]["error"] == "PrecisionError"
+
+
+def test_duplicate_edge_in_a_large_graph_is_refused_quickly(tmp_path):
+    # K250 plus one repeated edge: 31,126 edges, counted once each
+    n = 250
+    edges = [[i, j] for i in range(n) for j in range(i + 1, n)] + [[1, 0]]
+    path = tmp_path / "k250dup.json"
+    path.write_text(json.dumps({"n": n, "edges": edges}))
+    proc = _run_process("graph", "info", str(path), timeout=20)
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "domain_error"
+    assert doc["payload"]["error"] == "DuplicateEdgeError"
+    assert doc["payload"]["message"] == "duplicate edge(s) [(0, 1)]"
 
 
 def test_stderr_reports_compute_then_import_time():

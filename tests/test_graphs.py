@@ -148,3 +148,10 @@ def test_arc_inversion_is_involutive(g):
     for k in range(len(t)):
         assert t.inverse(k) == k ^ 1
         assert t.arcs[t.inverse(k)] == (t.terminus(k), t.origin(k))
+
+
+def test_too_few_edges_refused_before_allocating():
+    # a connected graph needs n - 1 edges; n = 1e9 must not build 1e9
+    # adjacency lists on the way to DisconnectedError
+    with pytest.raises(DisconnectedError, match="cannot connect"):
+        build_graph(10**9, [])

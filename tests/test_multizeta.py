@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,8 +91,12 @@ def test_hurwitz_recurrence(s, a):
 
 
 def test_hurwitz_pole_and_shift_rejection():
+    # the kernel evaluates s = 1 as a finite part, so both entry points
+    # must refuse the pole themselves
     with pytest.raises(PoleError):
         hurwitz_zeta(1, 0.5)
+    with pytest.raises(PoleError):
+        hurwitz_zeta_ds(1, 0.5)
     for bad in (0, -3, -1.0):
         with pytest.raises(NonPositiveShiftError):
             hurwitz_zeta(2.0, bad)
@@ -140,6 +146,23 @@ def test_digamma_of_a_huge_shift():
     # big^(-2j) used to square 1e300 into inf; psi(a) = log a - 1/(2a) - ...
     want = math.log(1e300) - 1 / (2 * 1e300)
     assert abs(digamma(1e300) - want) <= 1e-12 * want
+
+
+def test_digamma_against_mpmath():
+    # digamma is minus the kernel's finite part at s = 1; real shifts stay
+    # 0.05 off the poles at the nonpositive integers
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261018)
+    points = []
+    while len(points) < 150:
+        x = rng.uniform(-6.0, 10.0)
+        if abs(x - round(x)) >= 0.05:
+            points.append(complex(x))
+    points += [complex(rng.uniform(-6.0, 10.0), rng.uniform(-8.0, 8.0)) for _ in range(100)]
+    for a in points:
+        want = complex(mpmath.digamma(mpmath.mpc(a)))
+        got = digamma(a)
+        assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (a, got, want)
 
 
 def test_index_collapse_order2():
@@ -306,3 +329,26 @@ def test_finite_part_matches_symmetric_limit():
     avg2 = (multiple_hurwitz_zeta(MultiZetaParams(2, 0.9, (1.5, 1.5)), 1 + eps)
             + multiple_hurwitz_zeta(MultiZetaParams(2, 0.9, (1.5, 1.5)), 1 - eps)) / 2.0
     assert abs(fp2 - avg2) < 1e-8
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_finite_part_against_mpmath(order):
+    # the even part of the Laurent expansion at pole +- eps, in 40 digits
+    # from mpmath's Hurwitz zeta; the eps^2 term is far below double
+    mpmath = pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import references
+
+    rng = random.Random(order)
+    for _ in range(8):
+        shift = complex(rng.uniform(0.1, 5.0), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+        period = rng.uniform(0.5, 3.0)
+        params = MultiZetaParams(order, shift, (period,) * order)
+        for pole in range(1, order + 1):
+            with mpmath.workdps(40):
+                eps = mpmath.mpf("1e-15")
+                want = complex((references.equal_period_zeta(order, shift, period, pole + eps)
+                                + references.equal_period_zeta(order, shift, period, pole - eps))
+                               / 2)
+            got = multiple_hurwitz_zeta_finite_part(params, pole)
+            assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (params, pole, got, want)

@@ -137,8 +137,10 @@ def test_log_zeta_series_c3():
 
 
 def test_ihara_series_r_max_capped():
-    with pytest.raises(InvalidParameterError):
-        verify_ihara_series(generate("cycle", 3), r_max=9)
+    # 0 and below would check no cycle length and still report ok
+    for r_max in (9, 0, -3):
+        with pytest.raises(InvalidParameterError):
+            verify_ihara_series(generate("cycle", 3), r_max=r_max)
 
 
 def _as_multiset(report):
