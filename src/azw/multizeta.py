@@ -208,8 +208,13 @@ def log_gamma(x, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
 
 def digamma(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """psi(a): the negative of the finite Laurent coefficient of the Hurwitz
-    zeta at its s = 1 pole, which the kernel evaluates."""
-    return -_hurwitz_core(1 + 0j, a, deriv=False, policy=policy)
+    zeta at its s = 1 pole, which the kernel evaluates. psi is real on the
+    real axis; the kernel's principal-branch powers of negative shifts
+    leave a rounding-size imaginary part there, which is dropped."""
+    value = -_hurwitz_core(1 + 0j, a, deriv=False, policy=policy)
+    if complex(a).imag == 0.0:
+        return complex(value.real, 0.0)
+    return value
 
 
 def _equal_reduction_terms(order: int, y: complex) -> tuple[tuple[int, complex], ...]:

@@ -4,6 +4,12 @@ Coefficients are Fractions indexed by ascending power of u. The zero
 polynomial is the empty coefficient tuple (degree -1). Rational functions
 are kept in lowest terms with a monic denominator; any sign lives in the
 numerator, which makes the printable form unique.
+
+Every exact determinant goes through one kernel, `reversed_charpoly`:
+det(I - uM) is taken by a Hessenberg reduction over word-size primes on
+the integer matrix L*M (L the lcm of the denominators), and the residues
+are lifted by Chinese remaindering under a Hadamard bound on the
+coefficients. `poly_matrix_det` is the same kernel on a block companion.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, lcm
 
 from .errors import NonSquareError, PoleError
 from .matrices import ExactMatrix
@@ -245,20 +252,57 @@ def rational_function_eval(f: ExactRationalFunction, x) -> complex:
     return complex(f.num(x)) / den
 
 
-@lru_cache(maxsize=None)
-def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
-    """det(I - u*M) as an exact polynomial.
+# Miller-Rabin with these bases is exact below 3.3e24, far above 2^62.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The charpoly primes, largest first below 2^62, found on first use.
+_PRIMES: list[int] = []
 
-    Reduces M to upper Hessenberg form H by similarity transforms, then
-    runs the subdiagonal recurrence for det(lambda I - H) on the leading
-    principal blocks (Cohen, A Course in Computational Algebraic Number
-    Theory, GTM 138, Alg. 2.2.9): O(N^3) rational operations. The
-    constant term of the result is always 1.
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(i: int) -> int:
+    """The i-th largest prime below 2^62."""
+    while len(_PRIMES) <= i:
+        p = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+        while not _is_prime(p):
+            p -= 2
+        _PRIMES.append(p)
+    return _PRIMES[i]
+
+
+def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
+    """det(lambda I - A) mod p for an integer matrix A, ascending powers.
+
+    Reduces A mod p to upper Hessenberg form H by similarity transforms,
+    then runs the subdiagonal recurrence for det(lambda I - H) on the
+    leading principal blocks (Cohen, A Course in Computational Algebraic
+    Number Theory, GTM 138, Alg. 2.2.9). Zero entries are skipped, which
+    keeps sparse walk matrices cheap.
     """
-    if not matrix.is_square:
-        raise NonSquareError("characteristic polynomial needs a square matrix")
-    n = matrix.rows
-    h = [list(row) for row in matrix.entries]
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
     for m in range(1, n - 1):
         pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
         if pivot is None:
@@ -268,36 +312,85 @@ def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
             for row in h:
                 row[pivot], row[m] = row[m], row[pivot]
         hm = h[m]
+        inv = pow(hm[m - 1], -1, p)
+        support = [(j, hm[j]) for j in range(m - 1, n) if hm[j]]
+        cols = []
         for i in range(m + 1, n):
-            c = h[i][m - 1]
+            hi = h[i]
+            c = hi[m - 1]
             if c:
-                c /= hm[m - 1]
-                hi = h[i]
-                for j in range(m - 1, n):
-                    if hm[j]:
-                        hi[j] -= c * hm[j]
-                # the inverse transform on columns keeps H similar to M
-                for row in h:
+                c = c * inv % p
+                for j, y in support:
+                    hi[j] = (hi[j] - c * y) % p
+                cols.append((i, c))
+        # the row operations only subtract multiples of row m, so they
+        # commute, and their inverse (column m += c * column i for each)
+        # can follow them all at once: H stays similar to A
+        if cols:
+            for row in h:
+                s = row[m]
+                for i, c in cols:
                     if row[i]:
-                        row[m] += c * row[i]
+                        s += c * row[i]
+                row[m] = s % p
     # chars[k][j] = coefficient of lambda^j in det(lambda I - H[:k, :k])
-    chars = [[Fraction(1)]]
+    chars = [[1]]
     for m in range(n):
-        nxt = [Fraction(0)] + chars[m]
-        for j, c in enumerate(chars[m]):
-            nxt[j] -= h[m][m] * c
-        sub = Fraction(1)
+        nxt = [0] + chars[m]
+        d = h[m][m]
+        if d:
+            for j, c in enumerate(chars[m]):
+                nxt[j] -= d * c
+        sub = 1
         for i in range(m - 1, -1, -1):
-            sub *= h[i + 1][i]
+            sub = sub * h[i + 1][i] % p
             if not sub:
                 break
-            c = h[i][m] * sub
+            c = h[i][m] * sub % p
             if c:
                 for j, x in enumerate(chars[i]):
                     nxt[j] -= c * x
-        chars.append(nxt)
-    # det(I - uM) = u^n * char(1/u): reverse the coefficients
-    return ExactPolynomial(_trim(reversed(chars[n])))
+        chars.append([x % p for x in nxt])
+    return chars[n]
+
+
+@lru_cache(maxsize=None)
+def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
+    """det(I - u*M) as an exact polynomial.
+
+    With L the lcm of the entry denominators, A = L*M is an integer
+    matrix and the coefficient of u^k is e_k / L^k, where e_k is the
+    coefficient of v^k in det(I - v*A): a signed sum of the principal
+    k-minors of A. By Hadamard each minor is at most the product of its
+    rows' norms r_i, so |e_k| <= e_k(r) <= B = prod(1 + r_i). The
+    charpoly of A is taken modulo word-size primes (`_charpoly_mod`) and
+    the residues are combined by Chinese remaindering until the modulus
+    exceeds 2B; the symmetric lift is then exact. No prime is unlucky:
+    the charpoly commutes with reduction mod p, and the Hessenberg
+    reduction over F_p only needs a nonzero pivot, which it searches
+    for. The constant term of the result is always 1.
+    """
+    if not matrix.is_square:
+        raise NonSquareError("characteristic polynomial needs a square matrix")
+    n = matrix.rows
+    scale = lcm(*{x.denominator for row in matrix.entries for x in row})
+    a = [[x.numerator * (scale // x.denominator) if x else 0 for x in row]
+         for row in matrix.entries]
+    bound = 1
+    for row in a:
+        bound *= isqrt(sum(x * x for x in row if x)) + 2
+    # residues[k] is e_k modulo `modulus`, since det(I - vA) = v^n char(1/v)
+    residues, modulus, i = [0] * (n + 1), 1, 0
+    while modulus <= 2 * bound:
+        p = _prime(i)
+        inv = pow(modulus, -1, p)
+        residues = [r + modulus * ((y - r) * inv % p)
+                    for r, y in zip(residues, reversed(_charpoly_mod(a, p)))]
+        modulus *= p
+        i += 1
+    half = modulus // 2
+    return ExactPolynomial(_trim(
+        Fraction(e - modulus if e > half else e, scale ** k) for k, e in enumerate(residues)))
 
 
 def poly_matrix_det(a1: ExactMatrix, a2: ExactMatrix) -> ExactPolynomial:

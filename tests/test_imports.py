@@ -1,5 +1,7 @@
 """numpy loads on first use, scipy never, and `quad` stays patchable.
 
+The charpoly primes are also found on first use, never at import.
+
 `import azw` must not pay for numpy: only the float spectra use it. The
 Mellin method runs on azw's own exp-sinh rule, so scipy stays unloaded
 even after a Mellin call. The check runs in a fresh interpreter, because
@@ -43,6 +45,15 @@ def test_import_azw_cli_loads_neither_numpy_nor_scipy():
         "mellin: mellin True",
         "after use: ['numpy']",
     ]
+
+
+def test_import_azw_cli_finds_no_charpoly_primes():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    child = "import azw.cli, azw.polynomials; print(azw.polynomials._PRIMES)"
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_mellin_calls_quad_through_the_module_attribute(monkeypatch):

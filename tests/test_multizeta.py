@@ -148,6 +148,18 @@ def test_digamma_of_a_huge_shift():
     assert abs(digamma(1e300) - want) <= 1e-12 * want
 
 
+def test_digamma_is_real_for_negative_real_shifts():
+    # the kernel pulls negative shifts up with principal-branch powers;
+    # the value must come back real, and satisfy the reflection formula
+    # psi(1 - a) - psi(a) = pi cot(pi a)
+    for a in (-0.5, -5.715861189835449, -2.3, -7.9, -0.01, -11.25):
+        got = digamma(a)
+        assert got.imag == 0.0, (a, got)
+        want = math.pi / math.tan(math.pi * a)
+        diff = (digamma(1 - a) - got).real
+        assert abs(diff - want) <= 1e-12 * max(abs(want), 1.0), (a, diff, want)
+
+
 def test_digamma_against_mpmath():
     # digamma is minus the kernel's finite part at s = 1; real shifts stay
     # 0.05 off the poles at the nonpositive integers

@@ -20,6 +20,7 @@ from azw import (
     transition_matrix,
     verify_konno_sato,
 )
+import azw.polynomials as polynomials
 from azw.errors import NonSquareError, PoleError
 from conftest import connected_graphs
 from test_matrices import CORPUS_DET_U
@@ -176,6 +177,58 @@ def _structured_matrices():
 def test_reversed_charpoly_matches_bareiss_on_structured_matrices():
     for m in _structured_matrices():
         assert _agrees_with_bareiss(reversed_charpoly(m), m), m
+
+
+def test_charpoly_lifts_huge_coefficients_over_several_primes(monkeypatch):
+    # numerators up to 1e30 over pairwise coprime denominators make the
+    # Hadamard bound, and so the number of primes, large
+    used = []
+    kernel = polynomials._charpoly_mod
+
+    def counting(a, p):
+        used.append(p)
+        return kernel(a, p)
+
+    monkeypatch.setattr(polynomials, "_charpoly_mod", counting)
+    rng = random.Random(20261018)
+    coprime = (7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        m = M([[F(rng.randint(-10 ** 30, 10 ** 30), rng.choice(coprime)) for _ in range(n)]
+               for _ in range(n)])
+        used.clear()
+        assert _agrees_with_bareiss(reversed_charpoly(m), m), m
+        assert len(used) >= 3, len(used)
+
+
+def test_charpoly_of_entries_past_the_word_size():
+    m = M([[2 ** 62, 1, -(2 ** 70)], [F(2 ** 64 + 1, 3), 0, 5], [-1, 2 ** 63 - 1, F(1, 2 ** 62)]])
+    assert _agrees_with_bareiss(reversed_charpoly(m), m)
+
+
+def test_charpoly_of_multiples_of_the_first_prime():
+    # the matrix is zero modulo the first prime: that residue is lambda^n
+    # and is still correct, so no prime needs to be skipped
+    p = polynomials._prime(0)
+    rng = random.Random(5)
+    m = M([[p * rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+    assert _agrees_with_bareiss(reversed_charpoly(m), m)
+
+
+def test_charpoly_of_degenerate_sizes():
+    assert reversed_charpoly(ExactMatrix(())) == P([1])
+    assert reversed_charpoly(M([[F(5, 3)]])) == P([1, F(-5, 3)])
+    assert reversed_charpoly(ExactMatrix.zeros(4, 4)) == P([1])
+
+
+def test_charpoly_primes_are_odd_decreasing_primes():
+    sympy = pytest.importorskip("sympy")
+    primes = [polynomials._prime(i) for i in range(6)]
+    assert primes[0] < 2 ** 62
+    assert all(p > q for p, q in zip(primes, primes[1:]))
+    assert all(p % 2 == 1 and sympy.isprime(p) for p in primes)
+    # and none is skipped: each is the largest prime below the one before
+    assert [sympy.prevprime(p) for p in [2 ** 62] + primes[:-1]] == primes
 
 
 ORACLE_POINTS = (F(1, 3), F(-2, 7), F(3, 5))

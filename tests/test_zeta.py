@@ -107,6 +107,19 @@ def test_konno_sato_corpus_exact(corpus):
         assert rep.ok, f"{name}: {rep.mismatches[:3]}"
 
 
+def test_konno_sato_vertex_side_matches_the_block_companion(corpus):
+    # the n x n route and det((1+u^2) I - 2uP) as a 2n x 2n block
+    # companion charpoly give the identical polynomial
+    from azw import ExactMatrix, poly_matrix_det, transition_matrix
+    from azw.zeta import _konno_sato_vertex_side
+
+    graphs = list(corpus.values()) + [generate("cycle", 36), generate("complete", 7),
+                                      generate("complete_bipartite", 4, 7)]
+    for g in graphs:
+        block = poly_matrix_det(transition_matrix(g).scale(-2), ExactMatrix.identity(g.n))
+        assert _konno_sato_vertex_side(g) == block
+
+
 # reduced-cycle counts frozen from the enumeration oracle; each equals
 # r * [u^r] log Z as verified by verify_ihara_series
 FROZEN_COUNTS = {
@@ -228,3 +241,11 @@ def test_automorphy_certificates(corpus):
         cert = automorphic_weight(g)
         assert (cert.sign, cert.weight) == expected[name], name
         assert cert.max_residual <= 1e-10, name
+
+
+def test_automorphy_of_a_long_cycle():
+    # x^(2m) at the sample point 10 overflows a float from m = 155 on;
+    # the residual is evaluated inside the unit disc instead
+    cert = automorphic_weight(generate("cycle", 155))
+    assert (cert.sign, cert.weight) == (1, -310)
+    assert cert.max_residual <= 1e-10
