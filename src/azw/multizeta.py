@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
@@ -107,7 +108,9 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> comple
     Laurent coefficient of the pole, -psi(a); the derivative is not taken
     there. A ladder whose largest rung would sum more than the series
     budget is refused before any work, so a huge |s| or shift cannot hang
-    the caller; a term that overflows double precision raises DomainError.
+    the caller; a term that overflows double precision raises DomainError,
+    and a value that falls below the smallest normal double because
+    big^(-s) underflowed raises PrecisionError.
     """
     a = complex(a)
     if a.imag == 0.0 and a.real <= 0 and float(a.real).is_integer():
@@ -174,6 +177,10 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> comple
                 acc += term
             result = acc + prefix
             if abs(term) <= policy.target * max(abs(result), 1.0):
+                if abs(result) < sys.float_info.min and abs(half) < sys.float_info.min:
+                    raise PrecisionError(
+                        f"Euler-Maclaurin value {abs(result):.3e} underflows double "
+                        f"precision at s={s}, a={a}")
                 return result
     except OverflowError as exc:
         raise DomainError(
@@ -352,7 +359,8 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
     style, closed-form integral + g/2 - g'/12, so the summation stops once
     |g'(k)|/12 clears the target; err is that term plus the target times
     the partial sum.
-    Raises PrecisionError when the series budget runs out first, and
+    Raises PrecisionError when the series budget runs out first or when
+    every power in the first lattice term underflows double precision, and
     DomainError when a term overflows double precision.
     """
     mult_poly = _multiplicity_poly(order)
@@ -384,6 +392,13 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
     k = 0
     block = 256
     try:
+        # for Re(s) > 0 the k = 0 powers are the largest; once all of them
+        # underflow, so has every term, and neither the sum nor its tail
+        # is certified
+        if max(abs(cmath.exp(-s * cmath.log(shift))) for _, shift in terms) < sys.float_info.min:
+            raise PrecisionError(
+                f"first lattice term underflows double precision at s={s}, "
+                f"shifts {', '.join(str(x) for _, x in terms)}")
         while True:
             for _ in range(block):
                 total += term(k)

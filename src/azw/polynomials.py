@@ -5,11 +5,13 @@ polynomial is the empty coefficient tuple (degree -1). Rational functions
 are kept in lowest terms with a monic denominator; any sign lives in the
 numerator, which makes the printable form unique.
 
-Every exact determinant goes through one kernel, `reversed_charpoly`:
+Every determinant polynomial goes through one kernel, `reversed_charpoly`:
 det(I - uM) is taken by a Hessenberg reduction over word-size primes on
-the integer matrix L*M (L the lcm of the denominators), and the residues
-are lifted by Chinese remaindering under a Hadamard bound on the
+the matrix's integer form L*M (L the lcm of the denominators), and the
+residues are lifted by Chinese remaindering under a Hadamard bound on the
 coefficients. `poly_matrix_det` is the same kernel on a block companion.
+The primes and the lift come from `matrices`, where `det_exact` uses them
+for elimination.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import NonSquareError, PoleError
-from .matrices import ExactMatrix
+# _PRIMES and _prime are re-exported: the charpoly runs on these primes
+from .matrices import _PRIMES, ExactMatrix, _crt_lift, _prime  # noqa: F401
 
 
 def _trim(coeffs) -> tuple[Fraction, ...]:
@@ -252,46 +255,6 @@ def rational_function_eval(f: ExactRationalFunction, x) -> complex:
     return complex(f.num(x)) / den
 
 
-# Miller-Rabin with these bases is exact below 3.3e24, far above 2^62.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# The charpoly primes, largest first below 2^62, found on first use.
-_PRIMES: list[int] = []
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(i: int) -> int:
-    """The i-th largest prime below 2^62."""
-    while len(_PRIMES) <= i:
-        p = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
-        while not _is_prime(p):
-            p -= 2
-        _PRIMES.append(p)
-    return _PRIMES[i]
-
-
 def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
     """det(lambda I - A) mod p for an integer matrix A, ascending powers.
 
@@ -358,39 +321,28 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
 def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
     """det(I - u*M) as an exact polynomial.
 
-    With L the lcm of the entry denominators, A = L*M is an integer
-    matrix and the coefficient of u^k is e_k / L^k, where e_k is the
-    coefficient of v^k in det(I - v*A): a signed sum of the principal
-    k-minors of A. By Hadamard each minor is at most the product of its
-    rows' norms r_i, so |e_k| <= e_k(r) <= B = prod(1 + r_i). The
-    charpoly of A is taken modulo word-size primes (`_charpoly_mod`) and
-    the residues are combined by Chinese remaindering until the modulus
-    exceeds 2B; the symmetric lift is then exact. No prime is unlucky:
+    With (L, A) the matrix's integer form (A = L*M, L the lcm of the
+    entry denominators), the coefficient of u^k is e_k / L^k, where e_k
+    is the coefficient of v^k in det(I - v*A): a signed sum of the
+    principal k-minors of A. By Hadamard each minor is at most the
+    product of its rows' norms r_i, so |e_k| <= e_k(r) <= B =
+    prod(1 + r_i). The charpoly of A is taken modulo word-size primes
+    (`_charpoly_mod`) and the residues are combined by Chinese
+    remaindering until the modulus exceeds 2B; the symmetric lift is then
+    exact (`_crt_lift`, shared with `det_exact`). No prime is unlucky:
     the charpoly commutes with reduction mod p, and the Hessenberg
     reduction over F_p only needs a nonzero pivot, which it searches
     for. The constant term of the result is always 1.
     """
     if not matrix.is_square:
         raise NonSquareError("characteristic polynomial needs a square matrix")
-    n = matrix.rows
-    scale = lcm(*{x.denominator for row in matrix.entries for x in row})
-    a = [[x.numerator * (scale // x.denominator) if x else 0 for x in row]
-         for row in matrix.entries]
+    scale, a = matrix.integer_form[0], matrix.integer_rows()
     bound = 1
     for row in a:
         bound *= isqrt(sum(x * x for x in row if x)) + 2
-    # residues[k] is e_k modulo `modulus`, since det(I - vA) = v^n char(1/v)
-    residues, modulus, i = [0] * (n + 1), 1, 0
-    while modulus <= 2 * bound:
-        p = _prime(i)
-        inv = pow(modulus, -1, p)
-        residues = [r + modulus * ((y - r) * inv % p)
-                    for r, y in zip(residues, reversed(_charpoly_mod(a, p)))]
-        modulus *= p
-        i += 1
-    half = modulus // 2
-    return ExactPolynomial(_trim(
-        Fraction(e - modulus if e > half else e, scale ** k) for k, e in enumerate(residues)))
+    # e_k is the coefficient of v^k, since det(I - vA) = v^n char(1/v)
+    coeffs = _crt_lift(len(a) + 1, bound, lambda p: reversed(_charpoly_mod(a, p)))
+    return ExactPolynomial(_trim(Fraction(e, scale ** k) for k, e in enumerate(coeffs)))
 
 
 def poly_matrix_det(a1: ExactMatrix, a2: ExactMatrix) -> ExactPolynomial:
@@ -405,6 +357,7 @@ def poly_matrix_det(a1: ExactMatrix, a2: ExactMatrix) -> ExactPolynomial:
     if not (a1.is_square and a2.is_square and a2.rows == n):
         raise NonSquareError("polynomial determinant needs two square blocks of one size")
     one, zero = Fraction(1), Fraction(0)
-    top = tuple(tuple(-x for x in r1 + r2) for r1, r2 in zip(a1.entries, a2.entries))
+    top = tuple(tuple(-x if x else zero for x in r1 + r2)
+                for r1, r2 in zip(a1.entries, a2.entries))
     bottom = tuple(tuple(one if j == i else zero for j in range(2 * n)) for i in range(n))
     return reversed_charpoly(ExactMatrix(top + bottom))

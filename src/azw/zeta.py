@@ -50,11 +50,24 @@ def grover_zeta(g: Graph) -> ExactRationalFunction:
 
 
 def _times_circle_power(det: ExactPolynomial, k: int) -> ExactRationalFunction:
-    """det * (1-u^2)^k as a reduced rational function; k < 0 for trees."""
-    circle = ExactPolynomial.from_coeffs([1, 0, -1])
-    if k >= 0:
-        return ExactRationalFunction.from_parts(circle ** k * det, ExactPolynomial.one())
-    return ExactRationalFunction.from_parts(det, circle ** (-k))
+    """det * (1-u^2)^k as a reduced rational function; k < 0 for trees.
+
+    (1-u^2)^|k| has the coefficient (-1)^j C(|k|, j) at u^(2j), so for
+    k >= 0 the product is a convolution over det's nonzero coefficients.
+    """
+    circle = [(2 * j, (-1) ** j * math.comb(abs(k), j)) for j in range(abs(k) + 1)]
+    if k < 0:
+        power = [0] * (1 - 2 * k)
+        for i, c in circle:
+            power[i] = c
+        return ExactRationalFunction.from_parts(det, ExactPolynomial.from_coeffs(power))
+    out = [0] * (len(det.coeffs) + 2 * k)
+    for i, a in enumerate(det.coeffs):
+        if a:
+            for j, c in circle:
+                out[i + j] += a * c
+    return ExactRationalFunction.from_parts(ExactPolynomial.from_coeffs(out),
+                                            ExactPolynomial.one())
 
 
 def _bass_inverse_zeta(g: Graph) -> ExactRationalFunction:
@@ -425,8 +438,9 @@ def automorphic_weight(g: Graph) -> AutomorphyCertificate:
 
     With zeta = c / den, c constant, the identity holds exactly when den
     has degree 2m and its coefficient reversal is sign * den; that is
-    checked on the zeta's own parts, with the sign taken from a Bareiss
-    determinant independent of the charpoly. The identity is then sampled
+    checked on the zeta's own parts, with the sign taken from a computation
+    independent of the charpoly: det U by Gaussian elimination
+    (`det_exact`), not the Hessenberg recurrence. The identity is then sampled
     numerically at a few points x; the exact check failing would mean an
     implementation bug, so it raises. The relative residual
     |zeta(1/x) - sign x^(2m) zeta(x)| / |zeta(1/x)| is evaluated as

@@ -1,9 +1,11 @@
 import time
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import strategies as st
 
-from azw import build_graph, builtin_corpus
+from azw import ExactMatrix, build_graph, builtin_corpus
 
 SESSION_START = time.perf_counter()
 
@@ -34,3 +36,44 @@ def connected_graphs(draw, max_n: int = 7):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return build_graph(n, sorted(edges))
+
+
+def bareiss_det(matrix: ExactMatrix) -> Fraction:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    The tests' determinant oracle: it shares no code with azw's modular
+    kernels (no primes, no Chinese remaindering), so checking `det_exact`
+    or a charpoly against it compares two independent computations. Rows
+    are scaled to integers first; the scaling is divided back out of the
+    integer determinant at the end.
+    """
+    n = matrix.rows
+    assert matrix.cols == n
+    if n == 0:
+        return Fraction(1)
+
+    scale = 1
+    rows: list[list[int]] = []
+    for row in matrix.entries:
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        rows.append([int(x * mult) for x in row])
+
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = pivot
+    return Fraction(sign * rows[n - 1][n - 1], scale)

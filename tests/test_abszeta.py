@@ -281,6 +281,14 @@ def test_mellin_refuses_underflow():
         absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), 3, 1e300, "mellin")
 
 
+@pytest.mark.parametrize("method", ["structure", "series"])
+def test_structure_and_series_refuse_underflow(method):
+    # the same point as the Mellin refusal: both used to return 2.5e-301,
+    # twice the true 1.25e-301, with an err of 1e-42
+    with pytest.raises(PrecisionError, match="underflows double precision"):
+        absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), 3, 1e300, method)
+
+
 def test_mellin_refuses_a_subnormal_value(monkeypatch):
     monkeypatch.setattr(azw.abszeta, "quad", lambda log_g, tol: (1e-310 + 0j, 0.0))
     with pytest.raises(PrecisionError, match="underflows double precision at w="):

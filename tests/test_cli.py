@@ -295,6 +295,17 @@ def test_mellin_underflow_is_domain_error():
     assert doc["payload"]["error"] == "PrecisionError"
 
 
+@pytest.mark.parametrize("method", ["structure", "series"])
+def test_huge_s_underflow_is_domain_error(method):
+    proc = _run_process("abszeta", "Z", "--n", "2,2", "--w", "3", "--s", "1e300",
+                        "--method", method, timeout=20)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "domain_error"
+    assert doc["payload"]["error"] == "PrecisionError"
+
+
 def test_duplicate_edge_in_a_large_graph_is_refused_quickly(tmp_path):
     # K250 plus one repeated edge: 31,126 edges, counted once each
     n = 250

@@ -56,6 +56,18 @@ def test_import_azw_cli_finds_no_charpoly_primes():
     assert out == "[]\n"
 
 
+def test_polynomials_and_matrices_share_one_prime_list():
+    # det_exact and the charpoly find primes through one list, still empty
+    # after importing the CLI
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    child = ("import azw.cli, azw.matrices, azw.polynomials; "
+             "print(azw.polynomials._PRIMES is azw.matrices._PRIMES, azw.matrices._PRIMES)")
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out == "True []\n"
+
+
 def test_mellin_calls_quad_through_the_module_attribute(monkeypatch):
     # replacing azw.abszeta.quad must reroute the Mellin quadrature: one
     # call per evaluation, with the same value as the plain rule

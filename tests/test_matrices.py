@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+import azw.matrices as matrices
 from azw import (
     ExactMatrix,
     adjacency_and_degree,
@@ -11,16 +13,17 @@ from azw import (
     generate,
     grover_matrix,
     positive_support,
+    reversed_charpoly,
     transition_matrix,
 )
 from azw.errors import NonSquareError
-from conftest import connected_graphs
+from conftest import bareiss_det, connected_graphs
 
 F = Fraction
 
 # det of the Grover operator for every corpus graph, frozen from the
-# fraction-free elimination (cross-checked against the Hessenberg
-# characteristic polynomial in test_polynomials).
+# fraction-free elimination now kept as `conftest.bareiss_det` (and
+# cross-checked against the Hessenberg charpoly in test_polynomials).
 CORPUS_DET_U = {
     "K2": -1,
     "C3": 1, "C4": 1, "C5": 1, "C6": 1, "C7": 1, "C8": 1,
@@ -83,6 +86,110 @@ def test_det_exact_basics():
     assert det_exact(ExactMatrix.from_rows([["1/2", "1/3"], ["1/5", "1/7"]])) == F(1, 14) - F(1, 15)
     with pytest.raises(NonSquareError):
         det_exact(ExactMatrix.zeros(2, 3))
+
+
+def test_det_exact_lifts_huge_entries_over_several_primes(monkeypatch):
+    # numerators up to 1e30 over pairwise coprime denominators make the
+    # Hadamard bound, and so the number of primes, large
+    used = []
+    kernel = matrices._det_mod
+
+    def counting(a, p):
+        used.append(p)
+        return kernel(a, p)
+
+    monkeypatch.setattr(matrices, "_det_mod", counting)
+    rng = random.Random(20261019)
+    coprime = (7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for _ in range(8):
+        n = rng.randint(2, 5)
+        m = ExactMatrix.from_rows(
+            [[F(rng.randint(-10 ** 30, 10 ** 30), rng.choice(coprime)) for _ in range(n)]
+             for _ in range(n)])
+        used.clear()
+        assert det_exact(m) == bareiss_det(m), m
+        assert len(used) >= 3, len(used)
+
+
+def test_det_exact_of_singular_matrices():
+    rng = random.Random(11)
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                for _ in range(n - 1)]
+        # the last row is a rational combination of the others
+        coef = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 1)]
+        rows.append([sum(c * r[j] for c, r in zip(coef, rows)) for j in range(n)])
+        order = list(range(n))
+        rng.shuffle(order)
+        m = ExactMatrix.from_rows([rows[i] for i in order])
+        assert det_exact(m) == 0 == bareiss_det(m), m
+    assert det_exact(ExactMatrix.from_rows([[1, 0, 2], [3, 0, 4], [5, 0, 6]])) == 0
+    assert det_exact(ExactMatrix.zeros(4, 4)) == 0
+    # zero modulo the first prime, but not zero
+    p = matrices._prime(0)
+    assert det_exact(ExactMatrix.from_rows([[p, 0], [0, 1]])) == p
+
+
+def test_det_exact_row_swap_signs():
+    rng = random.Random(3)
+    for n in range(1, 7):
+        for _ in range(5):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            diag = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+            # a scaled permutation matrix: every column pivot needs a swap
+            # unless the permutation fixes it
+            m = ExactMatrix.from_rows(
+                [[diag[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)])
+            want = (-1) ** inversions
+            for d in diag:
+                want *= d
+            assert det_exact(m) == want == bareiss_det(m), perm
+    # zero pivot with fill below it: one swap, then elimination
+    m = ExactMatrix.from_rows([[0, 2, 1], [3, 1, 0], [1, 1, 1]])
+    assert det_exact(m) == bareiss_det(m) == -4
+
+
+def test_det_exact_of_degenerate_sizes():
+    assert det_exact(ExactMatrix(())) == 1
+    assert det_exact(ExactMatrix.from_rows([["5/3"]])) == F(5, 3)
+    assert det_exact(ExactMatrix.from_rows([[0]])) == 0
+    assert det_exact(ExactMatrix.from_rows([[-(2 ** 70)]])) == -(2 ** 70)
+
+
+def test_det_of_a_long_cycle_grover_operator():
+    u = grover_matrix(generate("cycle", 155))
+    assert det_exact(u) == 1
+
+
+def test_matrix_equality_and_hash_follow_the_values():
+    half = ExactMatrix.from_rows([["2/4"]])
+    also_half = ExactMatrix.from_rows([[F(1, 2)]])
+    assert half == also_half and hash(half) == hash(also_half)
+    assert half != ExactMatrix.from_rows([[1]])
+    assert ExactMatrix.zeros(1, 2) != ExactMatrix.zeros(2, 1)
+    assert ExactMatrix(()) != ExactMatrix.zeros(1, 0)
+    assert half != ((F(1, 2),),)
+    assert len({half, also_half, ExactMatrix.from_rows([[1]])}) == 2
+
+
+def test_charpoly_cache_hit_hashes_no_fraction(monkeypatch):
+    g = generate("cycle", 80)
+    first = reversed_charpoly(grover_matrix(g))
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    hits = reversed_charpoly.cache_info().hits
+    assert reversed_charpoly(grover_matrix(g)) is first
+    assert reversed_charpoly.cache_info().hits == hits + 1
+    assert calls == []
 
 
 def test_transition_matrix_row_stochastic(corpus):

@@ -22,6 +22,7 @@ from azw.errors import (
     InvalidParameterError,
     NonPositiveShiftError,
     PoleError,
+    PrecisionError,
     UnsupportedContinuationError,
 )
 from azw.multizeta import (
@@ -364,3 +365,25 @@ def test_finite_part_against_mpmath(order):
                                / 2)
             got = multiple_hurwitz_zeta_finite_part(params, pole)
             assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (params, pole, got, want)
+
+
+def test_hurwitz_refuses_a_value_lost_to_underflow():
+    # zeta(3, a) is about 1/(2 a^2): 2e-600 at a = 5e299, below every
+    # double, where big^(-s) has underflowed too
+    for kernel in (hurwitz_zeta, hurwitz_zeta_ds):
+        with pytest.raises(PrecisionError, match="underflows double precision"):
+            kernel(3.0, 5e299)
+    # small but normal values still come back
+    got = hurwitz_zeta(3.0, 1e100)
+    assert abs(got - 0.5e-200) <= 1e-12 * 0.5e-200
+    assert hurwitz_zeta(2.0, 5e299).real > sys.float_info.min
+
+
+def test_collapsed_series_refuses_an_underflowed_first_term():
+    # x^(-3) for x = 1e300 underflows, and so does every later term
+    with pytest.raises(PrecisionError, match="first lattice term underflows"):
+        _collapsed_series(2, 2.0, [(1, 1e300 + 0j)], 3 + 0j, PrecisionPolicy())
+    # equal shifts that cancel exactly are not an underflow
+    value, _ = _collapsed_series(1, 1.0, [(1, 2 + 0j), (-1, 2 + 0j), (1, 1 + 0j)],
+                                 2 + 0j, PrecisionPolicy())
+    assert abs(value - math.pi ** 2 / 6) < 1e-12

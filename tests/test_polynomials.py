@@ -8,7 +8,6 @@ from azw import (
     ExactMatrix,
     ExactPolynomial,
     ExactRationalFunction,
-    det_exact,
     edge_matrix,
     generate,
     grover_matrix,
@@ -22,7 +21,7 @@ from azw import (
 )
 import azw.polynomials as polynomials
 from azw.errors import NonSquareError, PoleError
-from conftest import connected_graphs
+from conftest import bareiss_det, connected_graphs
 from test_matrices import CORPUS_DET_U
 
 F = Fraction
@@ -88,7 +87,7 @@ def test_charpoly_leading_coeff_equals_det(corpus):
     # the same det by two exact routes: Bareiss and the Hessenberg charpoly
     for name, g in corpus.items():
         u = grover_matrix(g)
-        assert reversed_charpoly(u).leading() == det_exact(u), name
+        assert reversed_charpoly(u).leading() == bareiss_det(u), name
 
 
 def test_poly_matrix_det_2x2_expansion():
@@ -113,7 +112,7 @@ def test_poly_matrix_det_c4_transition():
 
 
 def _bareiss_one_minus(m: ExactMatrix, u: Fraction) -> Fraction:
-    return det_exact(ExactMatrix.identity(m.rows) - m.scale(u))
+    return bareiss_det(ExactMatrix.identity(m.rows) - m.scale(u))
 
 
 def _agrees_with_bareiss(poly: ExactPolynomial, m: ExactMatrix) -> bool:
@@ -248,11 +247,11 @@ def _check_determinants_against_bareiss(g):
             assert reversed_charpoly(m)(u) == _bareiss_one_minus(m, u)
         circle = 1 - u * u
         # I - uA + u^2 (D - I), against bass = 1 / ((1-u^2)^(betti-1) det)
-        d = det_exact(M([[(1 + u * u * (deg[i] - 1) if i == j else 0) - u * adj[i][j]
+        d = bareiss_det(M([[(1 + u * u * (deg[i] - 1) if i == j else 0) - u * adj[i][j]
                           for j in range(g.n)] for i in range(g.n)]))
         assert bass.num(u) * circle ** (g.betti - 1) * d == bass.den(u)
         # (1+u^2) I - 2uP, against ks = (1-u^2)^(m-n) det
-        d = det_exact(M([[(1 + u * u if i == j else 0) - 2 * u * adj[i][j] / deg[i]
+        d = bareiss_det(M([[(1 + u * u if i == j else 0) - 2 * u * adj[i][j] / deg[i]
                           for j in range(g.n)] for i in range(g.n)]))
         assert ks.num(u) == ks.den(u) * circle ** (g.m - g.n) * d
 
