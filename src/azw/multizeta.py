@@ -224,17 +224,19 @@ def digamma(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     return value
 
 
-def _equal_reduction_terms(order: int, y: complex) -> tuple[tuple[int, complex], ...]:
-    # Lattice multiplicity binom(k+r-1, r-1), rewritten once in the basis
-    # (y+k)^0, (y+k)^1, (y+k)^2. Returned as (shift j, coefficient) pairs
-    # meaning coefficient * zeta(s - j, y).
-    if order == 1:
-        return ((0, 1.0 + 0j),)
-    if order == 2:
-        return ((1, 1.0 + 0j), (0, 1.0 - y))
-    return ((2, 0.5 + 0j),
-            (1, (3.0 - 2.0 * y) / 2.0),
-            (0, (y - 1.0) * (y - 2.0) / 2.0))
+def _multiplicity_coeffs(order: int, y) -> list:
+    """Coefficients of the lattice multiplicity binom(k+order-1, order-1)
+    in ascending powers of t = k + y: the product of the linear factors
+    (t - y + i)/(order-1)! for i = 1..order-1."""
+    coeffs = [1.0]
+    for i in range(1, order):
+        nxt = [0.0] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            nxt[j] += c * (i - y)
+            nxt[j + 1] += c
+        coeffs = nxt
+    fact = math.factorial(order - 1)
+    return [c / fact for c in coeffs]
 
 
 def _check_poles(order: int, s: complex) -> None:
@@ -253,9 +255,12 @@ def _equal_period_value(params: MultiZetaParams, s: complex, deriv: bool,
         raise DomainError(
             f"period scale {period}^(-s) overflows double precision at s={s}, "
             f"shift {params.shift}") from exc
+    # the lattice sum is sum_j c_j zeta(s - j, y), from the highest j down
+    coeffs = _multiplicity_coeffs(params.order, y)
     total = 0j
     dtotal = 0j
-    for j, coeff in _equal_reduction_terms(params.order, y):
+    for j in reversed(range(params.order)):
+        coeff = coeffs[j]
         total += coeff * _hurwitz_core(s - j, y, deriv=False, policy=policy)
         if deriv:
             dtotal += coeff * _hurwitz_core(s - j, y, deriv=True, policy=policy)
@@ -311,7 +316,7 @@ def multiple_hurwitz_zeta_finite_part(params: MultiZetaParams, pole: int,
     if not (1 <= pole <= params.order):
         raise InvalidParameterError(f"s = {pole} is not a pole of order {params.order}")
     period = params.periods[0]
-    residue = dict(_equal_reduction_terms(params.order, complex(params.shift) / period))[pole - 1]
+    residue = _multiplicity_coeffs(params.order, complex(params.shift) / period)[pole - 1]
     return (_equal_period_value(params, complex(pole), deriv=False, policy=policy)
             - period ** float(-pole) * residue * math.log(period))
 
@@ -352,18 +357,20 @@ def multiple_sine(params: MultiZetaParams,
 
 def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]],
                       s: complex, policy: PrecisionPolicy) -> tuple[complex, float]:
-    """Signed sum over (sign, x) terms of the equal-period lattice series
-    sum_k binom(k+order-1, order-1) (x + k period)^(-s); returns (value, err).
+    """Sum over (c, x) terms, with integer multiplicities c, of c times the
+    equal-period lattice series sum_k binom(k+order-1, order-1)
+    (x + k period)^(-s); returns (value, err).
 
     Every Re(x) must be positive. The tail is handled Euler-Maclaurin
     style, closed-form integral + g/2 - g'/12, so the summation stops once
     |g'(k)|/12 clears the target; err is that term plus the target times
-    the partial sum.
+    the partial sum plus eps times the rounding size of the powers and tail
+    pieces, which near the edge of convergence far exceeds their sum.
     Raises PrecisionError when the series budget runs out first or when
     every power in the first lattice term underflows double precision, and
     DomainError when a term overflows double precision.
     """
-    mult_poly = _multiplicity_poly(order)
+    mult_poly = _multiplicity_coeffs(order, 0.0)
     mult_deriv = [j * c for j, c in enumerate(mult_poly)][1:] or [0.0]
 
     def _poly(coeffs, t: float) -> float:
@@ -372,23 +379,31 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
             acc = acc * t + c
         return acc
 
-    def term(k: float) -> complex:
+    def term(k: int) -> tuple[complex, float]:
+        # the summand and its rounding size: exp(x) is off by about
+        # eps (1 + |x|) relative, and each addition by eps times the addend
         inner = 0j
-        for sign, shift in terms:
-            inner += sign * cmath.exp(-s * cmath.log(shift + k * period))
-        return _poly(mult_poly, k) * inner
+        size = 0.0
+        for c, shift in terms:
+            x = -s * cmath.log(shift + k * period)
+            p = c * cmath.exp(x)
+            inner += p
+            size += abs(p) * (2.0 + abs(x))
+        mult = math.comb(k + order - 1, order - 1)
+        return mult * inner, mult * size
 
     def term_prime(k: float) -> complex:
         mult = _poly(mult_poly, k)
         dmult = _poly(mult_deriv, k)
         out = 0j
-        for sign, shift in terms:
+        for c, shift in terms:
             base = shift + k * period
             p = cmath.exp(-s * cmath.log(base))
-            out += sign * (dmult * p - s * period * mult * p / base)
+            out += c * (dmult * p - s * period * mult * p / base)
         return out
 
     total = 0j
+    size = 0.0
     k = 0
     block = 256
     try:
@@ -401,7 +416,9 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
                 f"shifts {', '.join(str(x) for _, x in terms)}")
         while True:
             for _ in range(block):
-                total += term(k)
+                value, value_size = term(k)
+                total += value
+                size += value_size
                 k += 1
             scale = max(abs(total), 1e-30)
             residual = abs(term_prime(k)) / 12.0
@@ -410,9 +427,11 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
             if k >= _SERIES_BUDGET:
                 raise PrecisionError(f"series budget exhausted at k = {k}")
             block = min(block * 2, 8192, _SERIES_BUDGET - k)
-        total += _combined_tail_integral(mult_poly, terms, period, float(k), s)
-        total += term(k) / 2.0 - term_prime(k) / 12.0
-        return total, abs(term_prime(k)) / 12.0 + policy.target * scale
+        tail, tail_size = _combined_tail_integral(order, terms, period, float(k), s)
+        total += tail
+        total += term(k)[0] / 2.0 - term_prime(k) / 12.0
+        rounding = sys.float_info.epsilon * (size + tail_size)
+        return total, abs(term_prime(k)) / 12.0 + policy.target * scale + rounding
     except OverflowError as exc:
         shifts = ", ".join(str(x) for _, x in terms)
         raise DomainError(
@@ -420,46 +439,34 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
             f"shifts {shifts}") from exc
 
 
-def _multiplicity_poly(b: int) -> list[float]:
-    """Coefficients in t of the lattice multiplicity binom(t+b-1, b-1)."""
-    coeffs = [1.0]
-    for i in range(1, b):
-        nxt = [0.0] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j] += c * i
-            nxt[j + 1] += c
-        coeffs = nxt
-    fact = float(math.factorial(b - 1))
-    return [c / fact for c in coeffs]
+def _combined_tail_integral(order: int, terms: list[tuple[int, complex]],
+                            period: float, start: float, s: complex) -> tuple[complex, float]:
+    """Sum over (c, x) terms of c times the closed-form series tail
+    integral, and its rounding size as `_collapsed_series` counts it.
 
-
-def _combined_tail_integral(mult_poly: list[float], terms: list[tuple[int, complex]],
-                            period: float, start: float, s: complex) -> complex:
-    """Signed sum over terms of the closed-form series tail integral.
-
-    With v = x + t*period, each integral of mult(t) v^(-s) splits into
+    With v = x + t*period, mult(t) = sum_e C_e(x) v^e with C_e(x) =
+    c_e(x/period) / period^e, so each integral of mult(t) v^(-s) splits into
     pieces C_e(x) v(start)^(e+1-s) / (s-e-1). At integer s = e+1 the
-    individual pieces diverge but their signed coefficient sum vanishes
+    individual pieces diverge but their weighted coefficient sum vanishes
     (same cancellation as the structure method of the absolute zeta),
-    leaving the l'Hopital limit -sum sign C_e(x) log(v(start)).
+    leaving the l'Hopital limit -sum c C_e(x) log(v(start)).
     """
     n = period
     total = 0j
-    for sign, x in terms:
-        # rewrite mult(t) in powers of v via t = (v - x)/n
-        v_coeffs = [0j] * len(mult_poly)
-        for j, a in enumerate(mult_poly):
-            scale = a / n ** j
-            for i in range(j + 1):
-                v_coeffs[i] += scale * math.comb(j, i) * (-x) ** (j - i)
+    size = 0.0
+    for c, x in terms:
         v_start = x + start * n
         log_v = cmath.log(v_start)
-        for e, c_e in enumerate(v_coeffs):
+        for e, c_e in enumerate(_multiplicity_coeffs(order, x / n)):
+            c_e /= n ** e
+            exponent = (e + 1 - s) * log_v
             if s.imag == 0.0 and s.real == e + 1:
-                total += sign * c_e * (-log_v) / n
+                piece = c * c_e * (-log_v) / n
             else:
-                total += sign * c_e * cmath.exp((e + 1 - s) * log_v) / ((s - e - 1) * n)
-    return total
+                piece = c * c_e * cmath.exp(exponent) / ((s - e - 1) * n)
+            total += piece
+            size += abs(piece) * (2.0 + abs(exponent))
+    return total, size
 
 
 def _power_bound_rep(sigma: float, periods: tuple[float, ...]) -> list[tuple[float, int]]:
@@ -481,9 +488,9 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
 
     Needs Re(shift) > 0 and Re(s) > order. The tail over each slab where
     one index exceeds its cut is bounded by nested integral comparison;
-    the sum of slab bounds must drop below the target or the budget is
-    declared exhausted. A term that overflows double precision raises
-    DomainError.
+    the sum of slab bounds must drop below the target relative to the
+    partial sum, or the budget is declared exhausted. A term that
+    overflows double precision raises DomainError.
     """
     sigma = s.real
     x = complex(params.shift)
@@ -509,7 +516,7 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
                 rep = _power_bound_rep(sigma, others)
                 y_j = x.real + (cuts[j] + 1) * periods[j]
                 bound += _eval_bound_rep(rep, y_j, sigma)
-            if bound <= policy.target * max(abs(total), 1.0):
+            if bound <= policy.target * abs(total):
                 return total, max(bound, 1e-18)
             cuts = [2 * c for c in cuts]
     except OverflowError as exc:

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 import sys
 from fractions import Fraction
@@ -31,6 +32,7 @@ import azw.abszeta
 from azw.errors import (
     AzwError,
     DomainError,
+    IdentityCheckError,
     InvalidParameterError,
     NotCyclotomicError,
     OddPowerError,
@@ -127,6 +129,18 @@ def test_automorphic_data_cycle_forms():
     assert automorphic_data(alt) == (1, -10)
 
 
+def test_automorphic_data_is_exact_for_huge_exponents():
+    # the float samples it replaced raised OverflowError from 7.5 ** 400
+    assert automorphic_data(CyclotomicForm(0, (), (400,))) == (-1, -400)
+    assert automorphic_data(CyclotomicForm(-6, (5, 1), (400, 3))) == (1, -6 + 6 - 403)
+
+
+def test_automorphic_data_refuses_a_wrong_weight(monkeypatch):
+    monkeypatch.setattr(CyclotomicForm, "weight", property(lambda self: -7))
+    with pytest.raises(IdentityCheckError):
+        automorphic_data(cycle_zeta_form(3))
+
+
 def test_automorphic_data_matches_certificate():
     g = generate("cycle", 4)
     form = factor_cyclotomic(grover_zeta(g))
@@ -176,8 +190,8 @@ def test_tri_method_smoke():
 
 
 def test_tri_method_at_cancelled_pole():
-    # w = 3 is a pole of each order-3 subset term but not of their
-    # alternating sum; all three methods must agree there
+    # w = 3 is a pole of each order-3 monomial term but not of their
+    # weighted sum; all three methods must agree there
     form = CyclotomicForm(l=0, num_exponents=(2,), den_exponents=(2, 2, 2))
     st = absolute_hurwitz_Z(form, 3, 0.5, "structure", QUICK).value
     se = absolute_hurwitz_Z(form, 3, 0.5, "series", QUICK).value
@@ -200,9 +214,12 @@ def test_method_domain_errors():
     with pytest.raises(DomainError):
         # Mellin tail diverges once Re(s) <= -2n
         absolute_hurwitz_Z(form, 3.0, -6.5, "mellin", QUICK)
+    # unequal exponents refold to one period and get a value, which Mellin
+    # confirms
     uneq = CyclotomicForm(l=0, num_exponents=(), den_exponents=(2, 3))
-    with pytest.raises(DomainError):
-        absolute_hurwitz_Z(uneq, 3.0, 1.0, "structure", QUICK)
+    st = absolute_hurwitz_Z(uneq, 3.0, 1.0, "structure", QUICK)
+    me = absolute_hurwitz_Z(uneq, 3.0, 1.0, "mellin", QUICK)
+    assert abs(st.value - me.value) <= st.error + me.error
     with pytest.raises(InvalidParameterError):
         absolute_hurwitz_Z(form, 3.0, 1.0, "quadrature", QUICK)
 
@@ -303,11 +320,185 @@ def test_series_unequal_periods_route():
     assert abs(got.value - want) <= 1e-8 * abs(want)
 
 
+def test_refolded_monomials_reproduce_the_form():
+    # sum_k c_k x^(l/2 + k) / (x^N - 1)^b is f exactly, at rational points
+    rng = random.Random(11)
+    for _ in range(40):
+        form = CyclotomicForm(l=2 * rng.randint(-3, 3),
+                              num_exponents=tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 3))),
+                              den_exponents=tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3))))
+        period, monomials = azw.abszeta._refold(form)
+        assert all(period % n == 0 for n in form.den_exponents)
+        assert all(isinstance(c, int) and c != 0 for _, c in monomials)
+        f = form.as_rational_function()
+        for x in (Fraction(2), Fraction(-5, 3), Fraction(7, 11)):
+            got = (sum(c * x ** k for k, c in monomials) * x ** (form.l // 2)
+                   / (x ** period - 1) ** form.b)
+            assert got == f.eval_exact(x), (form, x)
+
+
+def test_refold_merges_duplicate_exponents():
+    # (x^2 - 1)^2 = x^4 - 2 x^2 + 1: three monomials, not four subsets
+    form = CyclotomicForm(0, (2, 2), (2, 2, 2))
+    assert azw.abszeta._refold(form) == (2, [(0, 1), (2, -2), (4, 1)])
+    # 1/((x^2 - 1)(x^3 - 1)) = (1 + x^2 + x^4)(1 + x^3) / (x^6 - 1)^2
+    assert azw.abszeta._refold(CyclotomicForm(0, (), (2, 3))) == (
+        6, [(k, 1) for k in (0, 2, 3, 4, 5, 7)])
+
+
+def test_refold_budget_refuses_a_huge_common_period():
+    # lcm(997, 991) = 988027 would mean a million monomial terms
+    form = CyclotomicForm(0, (), (997, 991))
+    for method in ("structure", "series"):
+        with pytest.raises(PrecisionError, match="over the budget"):
+            absolute_hurwitz_Z(form, 3.5, 1.0, method)
+    with pytest.raises(PrecisionError, match="over the budget"):
+        absolute_zeta(form, 1.0)
+
+
+def test_lattice_methods_need_a_denominator():
+    form = CyclotomicForm(0, (1,), ())
+    for method in ("structure", "series"):
+        with pytest.raises(DomainError, match="denominator exponent"):
+            absolute_hurwitz_Z(form, 3.0, 1.0, method, QUICK)
+    with pytest.raises(DomainError, match="denominator exponent"):
+        absolute_zeta(form, 1.0, QUICK)
+
+
+def _two_period_zeta(mp, x, p: int, q: int, w, derivative: int = 0):
+    """sum over j, k >= 0 of (x + p j + q k)^(-w) for coprime p, q, or its
+    w-derivative: n = p j + q k has r(pq t + rho) = t + r(rho)
+    representations, so the lattice splits into pq one-index sums of
+    (t + r(rho)) (x + rho + pq t)^(-w), each two mpmath Hurwitz zetas."""
+    L = p * q
+    total = 0
+    for rho in range(L):
+        r_rho = sum(1 for k in range(rho // q + 1) if (rho - q * k) % p == 0)
+        y = (x + rho) / L
+        value = mp.zeta(w - 1, y) + (r_rho - y) * mp.zeta(w, y)
+        if derivative:
+            value = (mp.zeta(w - 1, y, 1) + (r_rho - y) * mp.zeta(w, y, 1)
+                     - mp.log(L) * value)
+        total += L ** (-w) * value
+    return total
+
+
+def _subset_reference(mp, l: int, num: tuple, den: tuple, w, s, derivative: int = 0):
+    """Z_f (or its w-derivative) from prod(x^m - 1) = sum over subsets I of
+    (-1)^(a - |I|) x^(m(I)): the signed sum of two-period lattice zetas at
+    s - l/2 + |n| - m(I)."""
+    total = 0
+    for mask in range(1 << len(num)):
+        picked = [e for i, e in enumerate(num) if mask >> i & 1]
+        sign = -1 if (len(num) - len(picked)) % 2 else 1
+        shift = mp.mpf(s) - mp.mpf(l) / 2 + sum(den) - sum(picked)
+        total += sign * _two_period_zeta(mp, shift, den[0], den[1], mp.mpf(w), derivative)
+    return total
+
+
+# (m, n, [(w, s)]) with two coprime denominator exponents; every point has
+# Re(w) > b - a, so all three methods apply
+UNEQUAL_FORMS = (
+    ((), (2, 3), [(7.0, 1.3), (3.5, 0.6)]),
+    ((), (1, 2), [(3.5, 0.7), (2.5, 2.0)]),
+    ((2,), (2, 3), [(2.5, 1.1), (4.0, 0.5)]),
+    ((3,), (2, 3), [(3.0, 4.7), (2.2, 2.2)]),
+)
+
+
+@pytest.mark.parametrize("m, n, points", UNEQUAL_FORMS)
+@pytest.mark.parametrize("l", [0, 2])
+def test_unequal_exponents_against_mpmath(l, m, n, points):
+    # the refolded structure and series, and Mellin, each lie within their
+    # err of a lattice reference that shares no azw code
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        for w, s in points:
+            want = complex(_subset_reference(mp, l, m, n, w, s))
+            for method in ("structure", "series", "mellin"):
+                got = absolute_hurwitz_Z(CyclotomicForm(l, m, n), w, s, method)
+                assert abs(got.value - want) <= got.error, (l, m, n, w, s, method, got, want)
+
+
+def test_absolute_zeta_of_unequal_exponents_against_mpmath():
+    # zeta_f(s) = exp(d/dw Z_f(w, s) at w = 0) for f = 1/((x^2 - 1)(x^3 - 1))
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        for s in (1.0, 0.3, 2.7, -0.5):
+            want = complex(mp.exp(_subset_reference(mp, 0, (), (2, 3), 0, s, derivative=1)))
+            got = absolute_zeta(CyclotomicForm(0, (), (2, 3)), s)
+            assert abs(got.value - want) <= got.error, (s, got, want)
+
+
+def test_unequal_exponents_cancelled_pole_finite_part():
+    # w = 2 is a pole of each monomial term of (x^2 - 1)/((x^2 - 1)(x^3 - 1))
+    # refolded to period 6, not of Z_f; structure takes finite parts there
+    form = CyclotomicForm(0, (2,), (2, 3))
+    st = absolute_hurwitz_Z(form, 2, 1.3, "structure")
+    for method in ("series", "mellin"):
+        other = absolute_hurwitz_Z(form, 2, 1.3, method)
+        assert abs(st.value - other.value) <= st.error + other.error, method
+    # the form is 1/(x^3 - 1), so Z_f is zeta_1(2, s + 3; 3)
+    want = multiple_hurwitz_zeta(MultiZetaParams(1, 4.3, (3.0,)), 2)
+    assert abs(st.value - want) <= st.error
+
+
+def test_three_methods_agree_on_random_forms():
+    # b <= 3, any exponents, Re(w) > b - a: every two methods that answer
+    # agree within the sum of their errs; only the series may refuse, when
+    # its budget runs out near the edge of convergence
+    rng = random.Random(7)
+    answered = 0
+    for _ in range(40):
+        b, a = rng.randint(1, 3), rng.randint(0, 3)
+        form = CyclotomicForm(2 * rng.randint(-2, 2),
+                              tuple(rng.randint(1, 4) for _ in range(a)),
+                              tuple(rng.randint(1, 4) for _ in range(b)))
+        w = complex(max(b - a, 0) + rng.uniform(0.3, 5.0), rng.choice((0.0, rng.uniform(-2, 2))))
+        s = complex(form.l / 2 + form.abs_m - form.abs_n + rng.uniform(0.2, 4.0),
+                    rng.choice((0.0, rng.uniform(-3, 3))))
+        vals = [absolute_hurwitz_Z(form, w, s, "structure"),
+                absolute_hurwitz_Z(form, w, s, "mellin")]
+        try:
+            vals.append(absolute_hurwitz_Z(form, w, s, "series"))
+            answered += 1
+        except PrecisionError:
+            pass
+        for i, x in enumerate(vals):
+            for y in vals[i + 1:]:
+                assert abs(x.value - y.value) <= x.error + y.error, (form, w, s, x, y)
+    assert answered >= 30
+
+
+@pytest.mark.parametrize("form, w, s", [
+    (CyclotomicForm(-2, (5, 2, 4), (2, 2)), 0.5487, 9.755),
+    (CyclotomicForm(2, (3, 5, 4), (4, 1, 3)), 0.4449, 7.948),
+    (CyclotomicForm(0, (3,), (2, 3)), 1.5, 2.2),
+])
+def test_series_err_counts_cancellation_near_the_edge(form, w, s):
+    # the lattice terms cancel by many digits here, so the series err
+    # counts their rounding; without it, values off by 4e-10 (equal
+    # periods) and 2.5e-3 (unequal, refolded) relative came with errs
+    # near 1e-13
+    want = absolute_hurwitz_Z(form, w, s, "mellin")
+    got = absolute_hurwitz_Z(form, w, s, "series")
+    assert abs(got.value - want.value) <= got.error + want.error
+
+
 def test_absolute_zeta_is_gamma2():
     n, s = 3, 0.5
     got = absolute_zeta(cycle_zeta_form(n), s, QUICK)
     want = multiple_gamma(MultiZetaParams(2, s + 2.0 * n, (float(n), float(n))), QUICK)
     assert got.value == want
+
+
+def test_absolute_zeta_divides_huge_gammas_one_at_a_time():
+    # (x^2 - 1)^2 / (x^2 - 1)^3 refolds to x^4 - 2 x^2 + 1 over (x^2 - 1)^3;
+    # Gamma_3 at the shift of the -2 monomial is about e^400, so its square
+    # overflows, yet zeta_f(23) = Gamma_1(25; 2) = Gamma(12.5) 2^12 / sqrt(2 pi)
+    got = absolute_zeta(CyclotomicForm(0, (2, 2), (2, 2, 2)), 23.0).value
+    want = math.gamma(12.5) * 2.0 ** 12 / math.sqrt(2 * math.pi)
+    assert abs(got - want) <= 1e-10 * want
 
 
 def test_absolute_zeta_degenerate_periods():
@@ -321,9 +512,18 @@ def test_absolute_zeta_domain_errors():
     form = cycle_zeta_form(3)
     with pytest.raises(DomainError):
         absolute_zeta(form, -6.0, QUICK)  # gamma argument hits 0
+    # unequal exponents refold to one period and get a value: the
+    # lattice of (2, 3) minus its translate by 2 is the lattice of (3,), so
+    # zeta_f(s) / zeta_f(s + 2) = Gamma_1(s + 5; 3) = Gamma((s+5)/3)
+    # 3^((s+5)/3 - 1/2) / sqrt(2 pi)
     uneq = CyclotomicForm(l=0, num_exponents=(), den_exponents=(2, 3))
-    with pytest.raises(DomainError):
-        absolute_zeta(uneq, 1.0, QUICK)
+    for s in (1.0, 0.4):
+        z0 = absolute_zeta(uneq, s, QUICK)
+        z2 = absolute_zeta(uneq, s + 2.0, QUICK)
+        x = (s + 5.0) / 3.0
+        want = math.gamma(x) * 3.0 ** (x - 0.5) / math.sqrt(2 * math.pi)
+        assert abs(z0.value / z2.value - want) <= (z0.error / abs(z0.value)
+                                                   + z2.error / abs(z2.value)) * want
 
 
 @pytest.mark.parametrize("n", [3, 4])

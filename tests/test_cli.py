@@ -232,6 +232,25 @@ def test_abszeta_Z_all_methods(runner):
     assert all(d["relative_delta"] <= 1e-6 for d in payload["pairwise"])
 
 
+def test_abszeta_Z_unequal_exponents_all_methods(runner):
+    # (2, 3) refolds to one period 6: all three methods answer and agree
+    result = runner.invoke(main, [
+        "abszeta", "Z", "--n", "2,3", "--w", "7", "--s", "1.3", "--method", "all"])
+    assert result.exit_code == 0
+    _, payload = _payload(result)
+    assert [r["method"] for r in payload["results"]] == ["structure", "series", "mellin"]
+    assert all(d["relative_delta"] < 1e-12 for d in payload["pairwise"])
+
+
+def test_abszeta_zeta_unequal_exponents(runner):
+    result = runner.invoke(main, ["abszeta", "zeta", "--n", "2,3", "--s", "1"])
+    assert result.exit_code == 0
+    status, payload = _payload(result)
+    assert status == "ok"
+    # exp of the w-derivative at 0 of the (2, 3) lattice zeta at 6, by mpmath
+    assert abs(complex(*payload["value"]) - 1.4443970442929028) <= payload["err"]
+
+
 def test_abszeta_zeta_is_gamma2(runner):
     result = runner.invoke(main, ["abszeta", "zeta", "--l", "0", "--n", "3,3", "--s", "0.5"])
     assert result.exit_code == 0

@@ -27,7 +27,9 @@ from azw.errors import (
 )
 from azw.multizeta import (
     _BERNOULLI,
+    DEFAULT_POLICY,
     _collapsed_series,
+    _multiplicity_coeffs,
     digamma,
     multiple_hurwitz_zeta_finite_part,
 )
@@ -269,6 +271,41 @@ def test_rectangular_path_matches_collapsed():
     a, _ = _collapsed_series(2, 2.0, [(1, 1.3 + 0j)], complex(5.5), pol)
     b, _ = _rectangular_series(params, complex(5.5), pol)
     assert abs(a - b) < 1e-9
+
+
+def test_rectangle_stops_on_the_relative_target(monkeypatch):
+    # |value| is about 3e-8, so an absolute stop at 1e-13 returned a value
+    # off by 1.3e-7 relative; it must meet target * |ref| or refuse
+    mpmath = pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import references
+    from azw import multizeta
+    monkeypatch.setattr(multizeta, "_SERIES_BUDGET", 50_000)
+    with mpmath.workdps(25):
+        want = complex(references.two_period_zeta(13.3, 2, 3, 7.0))
+    try:
+        got = direct_series(MultiZetaParams(2, 13.3, (2.0, 3.0)), 7.0)
+    except PrecisionError:
+        return
+    assert abs(got - want) <= DEFAULT_POLICY.target * abs(want)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_multiplicity_coeffs_expand_the_binomial(order):
+    # sum_e c_e(y) (k + y)^e = binom(k + order - 1, order - 1)
+    rng = random.Random(order)
+    for _ in range(10):
+        y = complex(rng.uniform(-3.0, 3.0), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+        coeffs = _multiplicity_coeffs(order, y)
+        assert len(coeffs) == order
+        for k in range(6):
+            got = sum(c * (k + y) ** e for e, c in enumerate(coeffs))
+            assert abs(got - math.comb(k + order - 1, order - 1)) <= 1e-12 * (1 + abs(y)) ** order
+    # orders 1 and 2 keep the closed forms bit for bit
+    y = 0.3 - 0.7j
+    assert _multiplicity_coeffs(1, y) == [1.0]
+    assert _multiplicity_coeffs(2, y) == [1.0 - y, 1.0]
+    assert _multiplicity_coeffs(3, 0.0) == [1.0, 1.5, 0.5]
 
 
 def test_rectangular_budget_is_enforced(monkeypatch):
