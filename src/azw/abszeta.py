@@ -9,8 +9,8 @@ x^n(j) - 1 becomes (x^N - 1) / (1 + x^n(j) + ... + x^(N - n(j))), so
 f(x) = x^(l/2) sum_k c_k x^k / (x^N - 1)^b with integer c_k from the
 expanded numerator. The absolute Hurwitz transform Z_f(w, s) then unfolds
 into the c_k-weighted sum of equal-period multiple Hurwitz zetas at the
-shifts s - l/2 + bN - k, one per monomial, and zeta_f(s) into the matching
-product of multiple gammas raised to the c_k.
+shifts s - l/2 + bN - k, one per monomial, and log zeta_f(s) into the
+matching c_k-weighted sum of log multiple gammas.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from .multizeta import (
     DEFAULT_POLICY,
     MultiZetaParams,
     PrecisionPolicy,
+    _checked_exp,
     _collapsed_series,
+    _equal_period_sum,
     log_gamma,
-    multiple_gamma,
-    multiple_hurwitz_zeta,
-    multiple_hurwitz_zeta_finite_part,
     multiple_sine,
 )
 from .polynomials import ExactPolynomial, ExactRationalFunction
@@ -285,31 +284,16 @@ def _refolded_terms(form: CyclotomicForm, s: complex) -> tuple[int, list[tuple[i
 
 def _structure_value(form: CyclotomicForm, w: complex, s: complex,
                      policy: PrecisionPolicy) -> AbsZetaValue:
-    period, terms = _refolded_terms(form, s)
-    periods = (float(period),) * form.b
-
     # Integer w in (b-a, b] hits a pole of each monomial term whose residue
     # (a degree b-w polynomial in the shift) is killed by the a-fold zero
-    # of the refolded numerator at x = 1, so the sum is evaluated through
-    # finite Laurent parts. Poles at or below b-a are genuine poles of Z_f.
-    pole = None
-    if w.imag == 0.0 and float(w.real).is_integer() and 1 <= w.real <= form.b:
-        p = int(w.real)
-        if p <= form.b - form.a:
-            raise PoleError(p, f"Z_f of this form has a pole at w = {p}")
-        pole = p
-
-    total = 0j
-    mag = 0.0
-    for c, shift in terms:
-        params = MultiZetaParams(order=form.b, shift=shift, periods=periods)
-        if pole is None:
-            term = multiple_hurwitz_zeta(params, w, policy)
-        else:
-            term = multiple_hurwitz_zeta_finite_part(params, pole, policy)
-        total += c * term
-        mag += abs(c) * abs(term)
-    return AbsZetaValue(value=total, method="structure", error=10 * policy.target * max(mag, 1e-30))
+    # of the refolded numerator at x = 1; the kernel then sums the finite
+    # parts, and their log N corrections cancel with the residues. Poles at
+    # or below b-a are genuine poles of Z_f.
+    if w.imag == 0.0 and float(w.real).is_integer() and 1 <= w.real <= form.b - form.a:
+        raise PoleError(int(w.real), f"Z_f of this form has a pole at w = {int(w.real)}")
+    period, terms = _refolded_terms(form, s)
+    value, size = _equal_period_sum(form.b, float(period), terms, w, False, policy)
+    return AbsZetaValue(value=value, method="structure", error=10 * policy.target * max(size, 1e-30))
 
 
 def _series_value(form: CyclotomicForm, w: complex, s: complex,
@@ -481,29 +465,26 @@ def absolute_hurwitz_Z(form: CyclotomicForm, w, s, method: str = "structure",
 
 def absolute_zeta(form: CyclotomicForm, s,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> AbsZetaValue:
-    """zeta_f(s) = exp(d/dw Z_f(w, s) at w = 0), via the gamma product.
+    """zeta_f(s) = exp(d/dw Z_f(w, s) at w = 0), as one exp of a log-gamma sum.
 
-    Evaluates the product over the monomials c_k x^k of the refolded
-    numerator of the multiple gammas Gamma_b(s - l/2 + bN - k; N, ..., N)
-    raised to the integer multiplicities c_k.
+    log zeta_f is the c_k-weighted sum, over the monomials c_k x^k of the
+    refolded numerator, of log Gamma_b(s - l/2 + bN - k; N, ..., N), so
+    gammas that overflow double precision still give a finite quotient.
+    Each log gamma is good to about target * |log Gamma| absolute, so err
+    is 10 * target * sum |c_k| (1 + |log Gamma_k|) * |value|.
     """
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"absolute zeta needs a finite s, got {s}")
     period, terms = _refolded_terms(form, s)
-    periods = (float(period),) * form.b
-    value = 1 + 0j
     try:
-        for c, shift in terms:
-            g = multiple_gamma(MultiZetaParams(order=form.b, shift=shift, periods=periods), policy)
-            # one factor at a time, so a quotient of huge gammas stays finite
-            for _ in range(abs(c)):
-                value = value * g if c > 0 else value / g
+        log_value, size = _equal_period_sum(form.b, float(period), terms, 0j, True, policy)
     except PoleError as exc:
         raise DomainError(f"gamma evaluation hit a pole: {exc}") from exc
     except NonPositiveShiftError as exc:
         raise DomainError(f"gamma argument on the nonpositive lattice: {exc}") from exc
-    err = sum(abs(c) for c, _ in terms) * 10 * policy.target * abs(value)
+    value = _checked_exp(log_value, f"zeta_f at s={s}")
+    err = 10 * policy.target * (sum(abs(c) for c, _ in terms) + size) * abs(value)
     return AbsZetaValue(value=value, method="structure", error=err)
 
 

@@ -4,9 +4,9 @@ One precision-controlled kernel carries everything: an Euler-Maclaurin
 Hurwitz zeta with an analytic s-derivative (no finite differences in any
 shipped path), whose finite part at the s = 1 pole is minus digamma.
 Multiple Hurwitz zetas with equal periods reduce to linear combinations of
-that kernel at shifted arguments; multiple gammas are the exponential of
-the s-derivative at 0, and multiple sines the usual reflection product of
-gammas.
+that kernel at shifted arguments, summed by one routine over weighted
+shifts; multiple gammas and sines are one exponential of such a sum of
+s-derivatives at 0.
 
 Shift arguments may be negative (non-lattice): powers of negative reals
 use the principal branch throughout, which keeps every identity in the
@@ -244,29 +244,36 @@ def _check_poles(order: int, s: complex) -> None:
         raise PoleError(s.real, f"multiple Hurwitz zeta of order {order} has a pole at s = {int(s.real)}")
 
 
-def _equal_period_value(params: MultiZetaParams, s: complex, deriv: bool,
-                        policy: PrecisionPolicy) -> complex:
-    period = params.periods[0]
-    y = complex(params.shift) / period
+def _equal_period_sum(order: int, period: float, terms: list[tuple[int, complex]],
+                      s: complex, deriv: bool, policy: PrecisionPolicy) -> tuple[complex, float]:
+    """Sum over (c, x) terms of c times zeta_r(s, x; N, ..., N), or its
+    s-derivative, by the reduction N^(-s) sum_j c_j(x/N) zeta(s - j, x/N),
+    and the size sum |c| |term|: the analytic twin of `_collapsed_series`.
+    Poles s = 1..r are not checked; there the kernel returns zeta(1, y)'s
+    finite part -psi(y), so a sum whose residues cancel gives its own."""
+    if order not in (1, 2, 3):
+        raise InvalidParameterError(f"order must be 1, 2 or 3, got {order}")
     ln_n = math.log(period)
     try:
         scale = cmath.exp(-s * ln_n)
     except OverflowError as exc:
         raise DomainError(
-            f"period scale {period}^(-s) overflows double precision at s={s}, "
-            f"shift {params.shift}") from exc
-    # the lattice sum is sum_j c_j zeta(s - j, y), from the highest j down
-    coeffs = _multiplicity_coeffs(params.order, y)
+            f"period scale {period}^(-s) overflows double precision at s={s}") from exc
     total = 0j
-    dtotal = 0j
-    for j in reversed(range(params.order)):
-        coeff = coeffs[j]
-        total += coeff * _hurwitz_core(s - j, y, deriv=False, policy=policy)
-        if deriv:
-            dtotal += coeff * _hurwitz_core(s - j, y, deriv=True, policy=policy)
-    if deriv:
-        return scale * (dtotal - ln_n * total)
-    return scale * total
+    size = 0.0
+    for c, x in terms:
+        y = complex(x) / period
+        coeffs = _multiplicity_coeffs(order, y)
+        inner = 0j
+        dinner = 0j
+        for j in reversed(range(order)):
+            inner += coeffs[j] * _hurwitz_core(s - j, y, deriv=False, policy=policy)
+            if deriv:
+                dinner += coeffs[j] * _hurwitz_core(s - j, y, deriv=True, policy=policy)
+        term = scale * (dinner - ln_n * inner) if deriv else scale * inner
+        total += c * term
+        size += abs(c) * abs(term)
+    return total, size
 
 
 def multiple_hurwitz_zeta(params: MultiZetaParams, s,
@@ -281,7 +288,8 @@ def multiple_hurwitz_zeta(params: MultiZetaParams, s,
     s = complex(s)
     _check_poles(params.order, s)
     if params.equal_periods:
-        return _equal_period_value(params, s, deriv=False, policy=policy)
+        return _equal_period_sum(params.order, params.periods[0], [(1, params.shift)],
+                                 s, False, policy)[0]
     if s.real <= params.order:
         raise UnsupportedContinuationError(
             "unequal periods are only summable directly, which needs Re(s) > order")
@@ -295,7 +303,8 @@ def multiple_hurwitz_zeta_ds(params: MultiZetaParams, s,
     _check_poles(params.order, s)
     if not params.equal_periods:
         raise UnsupportedContinuationError("s-derivative is only shipped for equal periods")
-    return _equal_period_value(params, s, deriv=True, policy=policy)
+    return _equal_period_sum(params.order, params.periods[0], [(1, params.shift)],
+                             s, True, policy)[0]
 
 
 def multiple_hurwitz_zeta_finite_part(params: MultiZetaParams, pole: int,
@@ -308,8 +317,8 @@ def multiple_hurwitz_zeta_finite_part(params: MultiZetaParams, pole: int,
     the N^(-s) prefactor against the 1/eps pole adds
     -N^(-pole) c_{pole-1}(y) log N.
 
-    Alternating sums of these finite parts evaluate expressions whose
-    individual terms are singular but whose residues cancel.
+    In a sum of terms whose residues cancel, these corrections cancel too,
+    so `_equal_period_sum` at the pole needs none.
     """
     if not params.equal_periods:
         raise UnsupportedContinuationError("finite parts are only shipped for equal periods")
@@ -317,36 +326,47 @@ def multiple_hurwitz_zeta_finite_part(params: MultiZetaParams, pole: int,
         raise InvalidParameterError(f"s = {pole} is not a pole of order {params.order}")
     period = params.periods[0]
     residue = _multiplicity_coeffs(params.order, complex(params.shift) / period)[pole - 1]
-    return (_equal_period_value(params, complex(pole), deriv=False, policy=policy)
-            - period ** float(-pole) * residue * math.log(period))
+    value, _ = _equal_period_sum(params.order, period, [(1, params.shift)],
+                                 complex(pole), False, policy)
+    return value - period ** float(-pole) * residue * math.log(period)
+
+
+def _checked_exp(log_value: complex, what: str) -> complex:
+    """exp of a log value; DomainError naming `what` when it overflows
+    double precision, PrecisionError when it underflows."""
+    try:
+        value = cmath.exp(log_value)
+    except OverflowError as exc:
+        raise DomainError(f"{what} overflows double precision "
+                          f"(log value {log_value.real:.6g})") from exc
+    if abs(value) < sys.float_info.min:
+        raise PrecisionError(f"{what} underflows double precision "
+                             f"(log value {log_value.real:.6g})")
+    return value
 
 
 def multiple_gamma(params: MultiZetaParams,
                    policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """exp of the s-derivative at 0 of the multiple Hurwitz zeta.
 
-    Raises DomainError when the value overflows double precision.
+    Raises DomainError when the value overflows double precision and
+    PrecisionError when it underflows.
     """
-    log_value = multiple_hurwitz_zeta_ds(params, 0.0, policy)
-    try:
-        return cmath.exp(log_value)
-    except OverflowError as exc:
-        raise DomainError(
-            f"Gamma_{params.order} overflows double precision at shift {params.shift} "
-            f"(log value {log_value.real:.6g})") from exc
+    return _checked_exp(multiple_hurwitz_zeta_ds(params, 0.0, policy),
+                        f"Gamma_{params.order} at shift {params.shift}")
 
 
 def multiple_sine(params: MultiZetaParams,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """Reflection product Gamma_r(x)^(-1) * Gamma_r(|omega| - x)^((-1)^r)."""
-    reflected = MultiZetaParams(order=params.order,
-                                shift=sum(params.periods) - complex(params.shift),
-                                periods=params.periods)
-    g_x = multiple_gamma(params, policy)
-    g_ref = multiple_gamma(reflected, policy)
-    if params.order % 2 == 0:
-        return g_ref / g_x
-    return 1.0 / (g_x * g_ref)
+    """Reflection product Gamma_r(x)^(-1) * Gamma_r(|omega| - x)^((-1)^r) of
+    equal periods, as one exp of the log-gamma sum, so gammas that overflow
+    double precision still give a finite sine."""
+    if not params.equal_periods:
+        raise UnsupportedContinuationError("multiple sines are only shipped for equal periods")
+    shift = complex(params.shift)
+    terms = [(-1, shift), ((-1) ** params.order, sum(params.periods) - shift)]
+    log_value, _ = _equal_period_sum(params.order, params.periods[0], terms, 0j, True, policy)
+    return _checked_exp(log_value, f"S_{params.order} at shift {params.shift}")
 
 
 # ---------------------------------------------------------------------------

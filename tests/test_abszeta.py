@@ -29,6 +29,7 @@ from azw import (
     verify_functional_equation,
 )
 import azw.abszeta
+from azw.multizeta import multiple_hurwitz_zeta_finite_part
 from azw.errors import (
     AzwError,
     DomainError,
@@ -495,10 +496,53 @@ def test_absolute_zeta_is_gamma2():
 def test_absolute_zeta_divides_huge_gammas_one_at_a_time():
     # (x^2 - 1)^2 / (x^2 - 1)^3 refolds to x^4 - 2 x^2 + 1 over (x^2 - 1)^3;
     # Gamma_3 at the shift of the -2 monomial is about e^400, so its square
-    # overflows, yet zeta_f(23) = Gamma_1(25; 2) = Gamma(12.5) 2^12 / sqrt(2 pi)
+    # overflows, yet zeta_f(23) = Gamma_1(25; 2) = Gamma(12.5) 2^12 / sqrt(2 pi);
+    # the log-gamma sum never forms the square
     got = absolute_zeta(CyclotomicForm(0, (2, 2), (2, 2, 2)), 23.0).value
     want = math.gamma(12.5) * 2.0 ** 12 / math.sqrt(2 * math.pi)
     assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("s", [23.0, 40.0])
+def test_absolute_zeta_of_overflowing_gammas_is_within_err(s):
+    # zeta_f of (x^2 - 1)^2 / (x^2 - 1)^3 is Gamma_1(s + 2; 2) =
+    # Gamma((s + 2)/2) 2^((s + 1)/2) / sqrt(2 pi). At s = 40 a single
+    # Gamma_3 factor overflows double precision; at s = 23 the log gammas
+    # are about 400, so err must carry target * |log Gamma|
+    got = absolute_zeta(CyclotomicForm(0, (2, 2), (2, 2, 2)), s)
+    want = math.gamma((s + 2) / 2) * 2.0 ** ((s + 1) / 2) / math.sqrt(2 * math.pi)
+    assert abs(got.value - want) <= got.error
+    assert got.error <= 1e-7 * want
+
+
+def test_absolute_zeta_refuses_an_underflowed_value():
+    # Gamma_2(-94.5; 3, 3) is about e^-1649, below every double; zeta_f of
+    # the 3-cycle at s = -100.5 used to come back as 0 with err 0
+    with pytest.raises(PrecisionError, match="underflows double precision"):
+        absolute_zeta(cycle_zeta_form(3), -100.5)
+
+
+@pytest.mark.parametrize("form, w", [
+    (CyclotomicForm(0, (2,), (2, 2, 2)), 3),
+    (CyclotomicForm(0, (2,), (2, 3)), 2),
+    (CyclotomicForm(2, (1, 3), (2, 2, 3)), 2),
+])
+def test_structure_at_a_cancelled_pole_needs_no_log_correction(form, w):
+    # each term's finite part carries -N^(-w) c_(w-1)(y) log N; the residues
+    # c_(w-1)(y) cancel over the refolded monomials, and so do these terms
+    s = 1.3
+    got = absolute_hurwitz_Z(form, w, s, "structure")
+    period, terms = azw.abszeta._refolded_terms(form, complex(s))
+    want = sum(c * multiple_hurwitz_zeta_finite_part(
+        MultiZetaParams(form.b, shift, (float(period),) * form.b), w) for c, shift in terms)
+    assert abs(got.value - want) <= got.error
+
+
+def test_structure_keeps_the_order_cap():
+    with pytest.raises(InvalidParameterError, match="order must be 1, 2 or 3"):
+        absolute_hurwitz_Z(CyclotomicForm(0, (), (1, 1, 1, 1)), 6.0, 1.0, "structure")
+    with pytest.raises(InvalidParameterError, match="order must be 1, 2 or 3"):
+        absolute_zeta(CyclotomicForm(0, (), (1, 1, 1, 1)), 1.0)
 
 
 def test_absolute_zeta_degenerate_periods():

@@ -251,6 +251,16 @@ def test_abszeta_zeta_unequal_exponents(runner):
     assert abs(complex(*payload["value"]) - 1.4443970442929028) <= payload["err"]
 
 
+def test_abszeta_zeta_of_overflowing_gammas(runner):
+    # (x^2 - 1)^2 / (x^2 - 1)^3 at s = 40 is Gamma_1(42; 2) =
+    # Gamma(21) 2^20.5 / sqrt(2 pi), though one Gamma_3 factor overflows
+    result = runner.invoke(main, ["abszeta", "zeta", "--m", "2,2", "--n", "2,2,2", "--s", "40"])
+    assert result.exit_code == 0
+    status, payload = _payload(result)
+    assert status == "ok"
+    assert abs(complex(*payload["value"]) - 1.439294261355527e24) <= payload["err"]
+
+
 def test_abszeta_zeta_is_gamma2(runner):
     result = runner.invoke(main, ["abszeta", "zeta", "--l", "0", "--n", "3,3", "--s", "0.5"])
     assert result.exit_code == 0

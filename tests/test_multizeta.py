@@ -358,6 +358,20 @@ def test_sine_order1_values():
     assert abs(multiple_sine(MultiZetaParams(1, 0.25, (1.0,))) - math.sqrt(2)) < 1e-9
 
 
+def test_sine_of_overflowing_gammas():
+    # Gamma_1(200.25) and Gamma_1(-199.25) are about e^860 and e^-860, past
+    # double precision; their quotient S_1(200.25) = 2 sin(200.25 pi) = sqrt 2
+    got = multiple_sine(MultiZetaParams(1, 200.25, (1.0,)))
+    assert abs(got - math.sqrt(2)) <= 1e-9
+
+
+def test_gamma_refuses_an_underflowed_value():
+    # log Gamma_2(-94.5; 3, 3) is about -1649, so the gamma is below every
+    # double; it used to come back as 0
+    with pytest.raises(PrecisionError, match="underflows double precision"):
+        multiple_gamma(MultiZetaParams(2, -94.5, (3.0, 3.0)))
+
+
 @pytest.mark.parametrize("x", [0.1, 0.37, 0.5, 0.81])
 def test_sine_order1_reflection(x):
     got = multiple_sine(MultiZetaParams(1, x, (1.0,)))
