@@ -479,8 +479,6 @@ def absolute_zeta(form: CyclotomicForm, s,
     period, terms = _refolded_terms(form, s)
     try:
         log_value, size = _equal_period_sum(form.b, float(period), terms, 0j, True, policy)
-    except PoleError as exc:
-        raise DomainError(f"gamma evaluation hit a pole: {exc}") from exc
     except NonPositiveShiftError as exc:
         raise DomainError(f"gamma argument on the nonpositive lattice: {exc}") from exc
     value = _checked_exp(log_value, f"zeta_f at s={s}")

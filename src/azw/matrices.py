@@ -1,23 +1,22 @@
 """Exact rational matrices and the walk operators built from a graph.
 
-Every matrix here carries Fraction entries so that the determinant
-identities downstream hold exactly, never up to a tolerance. Each matrix
-also has one integer form (L, L*M), L the lcm of the entry denominators,
-computed once and cached on it: hashing, equality and every exact kernel
-work on those ints, not on the Fractions. Exact determinants are taken
-modulo word-size primes and lifted by Chinese remaindering under a
-Hadamard bound; the primes and the lift live here and are shared with
-the charpoly kernel.
+Every matrix here is exact, so that the determinant identities
+downstream hold exactly, never up to a tolerance. A matrix M is held as
+its one integer form (L, L*M), L the lcm of the entry denominators:
+the walk builders emit those ints directly, and arithmetic, hashing,
+equality and every exact kernel work on them. Fraction entries are
+derived only when read. Exact determinants are taken modulo word-size
+primes and lifted by Chinese remaindering under a Hadamard bound; the
+primes and the lift live here and are shared with the charpoly kernel.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import InvalidParameterError, NonSquareError
 from .graphs import Graph, arc_table
@@ -81,35 +80,68 @@ def _crt_lift(size: int, bound: int, residues) -> list[int]:
     return [e - modulus if e > half else e for e in lifted]
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable rectangular matrix over arbitrary-precision rationals."""
+    """Immutable rectangular matrix over the rationals, held as its
+    integer form.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    A rows x cols matrix M is stored as `integer_form` = (L, A): L > 0 the
+    lcm of the entry denominators and A = L*M, its entries in one
+    row-major tuple of ints. L is fixed by the values, so the form is
+    canonical: two matrices of one shape are equal exactly when their
+    forms are, and the hash is the form's. A is one flat tuple, not one
+    tuple per row: CPython keeps freed tuples shorter than 20 on free
+    lists, where the rows of many small matrices would pile up and hold
+    memory. The Fraction `entries` are derived only when read.
+    """
 
-    def __post_init__(self):
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
-                raise ValueError("ragged rows")
+    __slots__ = ("rows", "cols", "integer_form")
 
-    @cached_property
-    def integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """(L, A): L the lcm of the entry denominators and A = L*M, its
-        entries in one row-major tuple of ints.
+    def __init__(self, entries=()):
+        """entries: rows of numbers, each taken as Fraction(x)."""
+        rows = [tuple(map(Fraction, row)) for row in entries]
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+        flat = list(chain.from_iterable(rows))
+        scale = lcm(*(x.denominator for x in flat))
+        ints = tuple(x.numerator * (scale // x.denominator) for x in flat)
+        self._set(len(rows), width, scale, ints)
 
-        L is fixed by the entries, so the form is canonical: two matrices
-        of one shape are equal exactly when their forms are. A is one
-        flat tuple, not one tuple per row: CPython keeps freed tuples
-        shorter than 20 on free lists, where the rows of many small
-        matrices would pile up and hold memory.
+    def _set(self, rows: int, cols: int, scale: int, ints: tuple[int, ...]) -> None:
+        # as with rows of entries, a matrix without rows has no columns
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols if rows else 0)
+        object.__setattr__(self, "integer_form", (scale, ints))
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, scale: int, ints) -> "ExactMatrix":
+        """The rows x cols matrix ints / scale, ints row-major and scale > 0.
+
+        Dividing scale and ints by their gcd leaves L the lcm of the
+        reduced entry denominators, so the form is canonical.
         """
-        # the builders share a few Fraction objects across all entries, so
-        # each distinct object is converted once and entries map by identity
-        distinct = {id(x): x for row in self.entries for x in row}
-        scale = lcm(*{x.denominator for x in distinct.values()})
-        ints = {key: x.numerator * (scale // x.denominator) for key, x in distinct.items()}
-        return scale, tuple(map(ints.__getitem__, map(id, chain.from_iterable(self.entries))))
+        ints = tuple(ints)
+        if scale != 1:
+            g = gcd(scale, *ints)
+            if g != 1:
+                scale //= g
+                ints = tuple(x // g for x in ints)
+        m = cls.__new__(cls)
+        m._set(rows, cols, scale, ints)
+        return m
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        return ExactMatrix._from_ints, (self.rows, self.cols, *self.integer_form)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as rows of Fractions, derived from the integer form."""
+        scale = self.integer_form[0]
+        value = {x: Fraction(x, scale) for x in set(self.integer_form[1])}
+        return tuple(tuple(map(value.__getitem__, row)) for row in self.integer_rows())
 
     def integer_rows(self) -> list[tuple[int, ...]]:
         """The rows of A = L*M, sliced from the integer form."""
@@ -127,72 +159,77 @@ class ExactMatrix:
     def __hash__(self) -> int:
         return hash(self.integer_form)
 
+    def __repr__(self) -> str:
+        return f"ExactMatrix(entries={self.entries!r})"
+
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        ints = [0] * (n * n)
+        ints[::n + 1] = [1] * n
+        return cls._from_ints(n, n, 1, ints)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        zero = Fraction(0)
-        return cls(tuple(tuple(zero for _ in range(cols)) for _ in range(rows)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return cls._from_ints(rows, cols, 1, (0,) * (rows * cols))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
+        i, j = range(self.rows)[ij[0]], range(self.cols)[ij[1]]
+        scale, a = self.integer_form
+        return Fraction(a[i * self.cols + j], scale)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.entries))) if self.entries else self
+        scale, a = self.integer_form
+        cols = self.cols
+        return ExactMatrix._from_ints(
+            cols, self.rows, scale, chain.from_iterable(a[j::cols] for j in range(cols)))
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign * other over the lcm of the two scales."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        (s1, a), (s2, b) = self.integer_form, other.integer_form
+        scale = lcm(s1, s2)
+        x, y = scale // s1, sign * (scale // s2)
+        return ExactMatrix._from_ints(self.rows, self.cols, scale,
+                                      (p * x + q * y for p, q in zip(a, b)))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def scale(self, c) -> "ExactMatrix":
         c = Fraction(c)
-        return ExactMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
+        scale, a = self.integer_form
+        num = c.numerator
+        return ExactMatrix._from_ints(self.rows, self.cols, scale * c.denominator,
+                                      (num * x for x in a))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
         cols = other.cols
+        # zero entries are skipped on both sides: walk matrices are sparse
+        support = [[(j, y) for j, y in enumerate(row) if y] for row in other.integer_rows()]
         out = []
-        for row in self.entries:
-            acc = [Fraction(0)] * cols
-            for k, x in enumerate(row):
+        for row in self.integer_rows():
+            acc = [0] * cols
+            for x, srow in zip(row, support):
                 if x:
-                    orow = other.entries[k]
-                    for j in range(cols):
-                        if orow[j]:
-                            acc[j] += x * orow[j]
-            out.append(tuple(acc))
-        return ExactMatrix(tuple(out))
+                    for j, y in srow:
+                        acc[j] += x * y
+            out += acc
+        return ExactMatrix._from_ints(self.rows, cols,
+                                      self.integer_form[0] * other.integer_form[0], out)
 
     def to_float_rows(self) -> list[list[float]]:
         scale = self.integer_form[0]
@@ -271,67 +308,62 @@ def grover_matrix(g: Graph) -> ExactMatrix:
 
     Entry (e, f) is 2/deg(t(f)) when arc f flows into the origin of arc e,
     with 1 subtracted on the backtracking transition f = inverse(e), and 0
-    otherwise. The result is exactly orthogonal.
+    otherwise. The result is exactly orthogonal. It is built over the lcm
+    L of the degrees, as the ints 2L/d and 2L/d - L.
     """
     arcs = arc_table(g)
     deg = g.degrees()
     size = len(arcs)
-    zero = Fraction(0)
-    # one 2/d and one 2/d - 1 per degree, shared by every entry
-    forward = {d: Fraction(2, d) for d in set(deg) if d}
-    back = {d: x - 1 for d, x in forward.items()}
+    scale = lcm(*(d for d in set(deg) if d))
+    forward = {d: 2 * scale // d for d in set(deg) if d}
     into = [[] for _ in range(g.n)]
     for f in range(size):
         into[arcs.terminus(f)].append(f)
-    rows = []
+    a = [0] * (size * size)
     for e in range(size):
         oe = arcs.origin(e)
-        row = [zero] * size
+        x, row = forward[deg[oe]], e * size
         for f in into[oe]:
-            row[f] = forward[deg[oe]]
-        row[arcs.inverse(e)] = back[deg[oe]]  # the inverse of e flows into o(e)
-        rows.append(tuple(row))
-    return ExactMatrix(tuple(rows))
+            a[row + f] = x
+        a[row + arcs.inverse(e)] = x - scale  # the inverse of e flows into o(e)
+    return ExactMatrix._from_ints(size, size, scale, a)
 
 
 @lru_cache(maxsize=None)
 def transition_matrix(g: Graph) -> ExactMatrix:
-    """Row-stochastic transition matrix of the simple symmetric random walk."""
+    """Row-stochastic transition matrix of the simple symmetric random walk,
+    built over the lcm L of the degrees as the ints L/deg(u)."""
     deg = g.degrees()
     if g.n > 0 and min(deg) == 0:
         # only the single-vertex graph; rows of zeros are not stochastic
         raise InvalidParameterError("random walk needs every vertex to have a neighbour")
-    zero = Fraction(0)
-    inverse = {d: Fraction(1, d) for d in set(deg)}
-    rows = [[zero] * g.n for _ in range(g.n)]
+    n = g.n
+    scale = lcm(*set(deg))
+    a = [0] * (n * n)
     for u, v in g.edges:
-        rows[u][v] = inverse[deg[u]]
-        rows[v][u] = inverse[deg[v]]
-    return ExactMatrix(tuple(tuple(r) for r in rows))
+        a[u * n + v] = scale // deg[u]
+        a[v * n + u] = scale // deg[v]
+    return ExactMatrix._from_ints(n, n, scale, a)
 
 
 @lru_cache(maxsize=None)
 def adjacency_and_degree(g: Graph) -> tuple[ExactMatrix, ExactMatrix]:
     """0/1 adjacency matrix and the diagonal degree matrix."""
-    one, zero = Fraction(1), Fraction(0)
-    adj = [[zero] * g.n for _ in range(g.n)]
+    n = g.n
+    adj = [0] * (n * n)
     for u, v in g.edges:
-        adj[u][v] = one
-        adj[v][u] = one
-    deg = g.degrees()
-    dia = [[Fraction(deg[i]) if i == j else zero for j in range(g.n)]
-           for i in range(g.n)]
-    return (ExactMatrix(tuple(tuple(r) for r in adj)),
-            ExactMatrix(tuple(tuple(r) for r in dia)))
+        adj[u * n + v] = adj[v * n + u] = 1
+    dia = [0] * (n * n)
+    dia[::n + 1] = g.degrees()
+    return ExactMatrix._from_ints(n, n, 1, adj), ExactMatrix._from_ints(n, n, 1, dia)
 
 
 def positive_support(matrix: ExactMatrix) -> ExactMatrix:
     """Elementwise indicator of strictly positive entries."""
     if not matrix.is_square:
         raise NonSquareError("positive support is defined for square matrices here")
-    one, zero = Fraction(1), Fraction(0)
-    return ExactMatrix(tuple(
-        tuple(one if x > 0 else zero for x in row) for row in matrix.integer_rows()))
+    return ExactMatrix._from_ints(matrix.rows, matrix.cols, 1,
+                                  (1 if x > 0 else 0 for x in matrix.integer_form[1]))
 
 
 @lru_cache(maxsize=None)
@@ -345,15 +377,13 @@ def edge_matrix(g: Graph) -> ExactMatrix:
     """
     arcs = arc_table(g)
     size = len(arcs)
-    one, zero = Fraction(1), Fraction(0)
     out_of = [[] for _ in range(g.n)]
     for f in range(size):
         out_of[arcs.origin(f)].append(f)
-    rows = []
+    a = [0] * (size * size)
     for e in range(size):
-        row = [zero] * size
+        row = e * size
         for f in out_of[arcs.terminus(e)]:
-            row[f] = one
-        row[arcs.inverse(e)] = zero  # the inverse of e leaves t(e)
-        rows.append(tuple(row))
-    return ExactMatrix(tuple(rows))
+            a[row + f] = 1
+        a[row + arcs.inverse(e)] = 0  # the inverse of e leaves t(e)
+    return ExactMatrix._from_ints(size, size, 1, a)

@@ -213,15 +213,17 @@ def log_gamma(x, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     return hurwitz_zeta_ds(0.0, x, policy) + 0.5 * math.log(_TWO_PI)
 
 
+def _real_on_real_axis(value: complex, shift) -> complex:
+    """value, exactly real when the shift is real. The callers' functions
+    are real there; the kernel's principal-branch powers of negative
+    shifts leave a rounding-size imaginary part, which is dropped."""
+    return complex(value.real, 0.0) if complex(shift).imag == 0.0 else value
+
+
 def digamma(a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """psi(a): the negative of the finite Laurent coefficient of the Hurwitz
-    zeta at its s = 1 pole, which the kernel evaluates. psi is real on the
-    real axis; the kernel's principal-branch powers of negative shifts
-    leave a rounding-size imaginary part there, which is dropped."""
-    value = -_hurwitz_core(1 + 0j, a, deriv=False, policy=policy)
-    if complex(a).imag == 0.0:
-        return complex(value.real, 0.0)
-    return value
+    zeta at its s = 1 pole, which the kernel evaluates; real for real a."""
+    return _real_on_real_axis(-_hurwitz_core(1 + 0j, a, deriv=False, policy=policy), a)
 
 
 def _multiplicity_coeffs(order: int, y) -> list:
@@ -347,26 +349,29 @@ def _checked_exp(log_value: complex, what: str) -> complex:
 
 def multiple_gamma(params: MultiZetaParams,
                    policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """exp of the s-derivative at 0 of the multiple Hurwitz zeta.
+    """exp of the s-derivative at 0 of the multiple Hurwitz zeta; real for
+    a real shift (the periods are positive reals).
 
     Raises DomainError when the value overflows double precision and
     PrecisionError when it underflows.
     """
-    return _checked_exp(multiple_hurwitz_zeta_ds(params, 0.0, policy),
-                        f"Gamma_{params.order} at shift {params.shift}")
+    value = _checked_exp(multiple_hurwitz_zeta_ds(params, 0.0, policy),
+                         f"Gamma_{params.order} at shift {params.shift}")
+    return _real_on_real_axis(value, params.shift)
 
 
 def multiple_sine(params: MultiZetaParams,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Reflection product Gamma_r(x)^(-1) * Gamma_r(|omega| - x)^((-1)^r) of
     equal periods, as one exp of the log-gamma sum, so gammas that overflow
-    double precision still give a finite sine."""
+    double precision still give a finite sine; real for a real shift."""
     if not params.equal_periods:
         raise UnsupportedContinuationError("multiple sines are only shipped for equal periods")
     shift = complex(params.shift)
     terms = [(-1, shift), ((-1) ** params.order, sum(params.periods) - shift)]
     log_value, _ = _equal_period_sum(params.order, params.periods[0], terms, 0j, True, policy)
-    return _checked_exp(log_value, f"S_{params.order} at shift {params.shift}")
+    value = _checked_exp(log_value, f"S_{params.order} at shift {params.shift}")
+    return _real_on_real_axis(value, params.shift)
 
 
 # ---------------------------------------------------------------------------

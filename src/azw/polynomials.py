@@ -9,9 +9,13 @@ Every determinant polynomial goes through one kernel, `reversed_charpoly`:
 det(I - uM) is taken by a Hessenberg reduction over word-size primes on
 the matrix's integer form L*M (L the lcm of the denominators), and the
 residues are lifted by Chinese remaindering under a Hadamard bound on the
-coefficients. `poly_matrix_det` is the same kernel on a block companion.
-The primes and the lift come from `matrices`, where `det_exact` uses them
-for elimination.
+coefficients. `poly_matrix_det` is the same kernel on a block companion,
+which it builds on the ints of the two blocks' integer forms, so no
+Fraction matrix arithmetic happens on the way. The primes and the lift
+come from `matrices`, where `det_exact` uses them for elimination.
+`ExactRationalFunction.from_parts` looks for a common factor only when
+both sides have positive degree, and rescales only a denominator that is
+not yet monic.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import NonSquareError, PoleError
 # _PRIMES and _prime are re-exported: the charpoly runs on these primes
@@ -101,6 +105,10 @@ class ExactPolynomial:
         c = Fraction(c)
         if c == 0:
             return ExactPolynomial(())
+        if c == 1:
+            return self
+        if c == -1:
+            return -self  # a sign flip needs no gcd per coefficient
         return ExactPolynomial(tuple(c * x for x in self.coeffs))
 
     def __pow__(self, k: int) -> "ExactPolynomial":
@@ -137,6 +145,18 @@ class ExactPolynomial:
         if self.is_zero:
             return self
         return self.scale(1 / self.leading())
+
+    @property
+    def integer_form(self) -> tuple[int, list[int]]:
+        """(D, D*p): D the lcm of the coefficient denominators, and the
+        coefficients of D*p as ints."""
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        return scale, [c.numerator * (scale // c.denominator) for c in self.coeffs]
+
+    @classmethod
+    def from_integer_form(cls, scale: int, ints) -> "ExactPolynomial":
+        """The polynomial with coefficients ints / scale."""
+        return cls(_trim(Fraction(x, scale) for x in ints))
 
     def reversed(self) -> "ExactPolynomial":
         """Coefficient reversal u^deg * p(1/u)."""
@@ -178,12 +198,16 @@ class ExactRationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             return cls(ExactPolynomial(()), ExactPolynomial.one())
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
+        # a constant side leaves no common factor to find
+        if num.degree > 0 and den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, _ = num.divmod(g)
+                den, _ = den.divmod(g)
         lead = den.leading()
-        return cls(num.scale(1 / lead), den.scale(1 / lead))
+        if lead != 1:
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        return cls(num, den)
 
     @classmethod
     def from_polynomial(cls, p: ExactPolynomial) -> "ExactRationalFunction":
@@ -351,13 +375,20 @@ def poly_matrix_det(a1: ExactMatrix, a2: ExactMatrix) -> ExactPolynomial:
     Equals det(I - u*C) for the 2n x 2n block companion
     C = [[-A1, -A2], [I, 0]] (take the Schur complement of the lower
     right block of I - u*C), so it is a reversed characteristic
-    polynomial.
+    polynomial. C is built in integer form over L = lcm(L1, L2) from the
+    blocks' integer forms (L1, L1*A1) and (L2, L2*A2), so no Fraction is
+    made before the charpoly kernel.
     """
     n = a1.rows
     if not (a1.is_square and a2.is_square and a2.rows == n):
         raise NonSquareError("polynomial determinant needs two square blocks of one size")
-    one, zero = Fraction(1), Fraction(0)
-    top = tuple(tuple(-x if x else zero for x in r1 + r2)
-                for r1, r2 in zip(a1.entries, a2.entries))
-    bottom = tuple(tuple(one if j == i else zero for j in range(2 * n)) for i in range(n))
-    return reversed_charpoly(ExactMatrix(top + bottom))
+    (s1, _), (s2, _) = a1.integer_form, a2.integer_form
+    scale = lcm(s1, s2)
+    x, y = -(scale // s1), -(scale // s2)
+    c = []
+    for r1, r2 in zip(a1.integer_rows(), a2.integer_rows()):
+        c += [x * v for v in r1]
+        c += [y * v for v in r2]
+    bottom = [0] * (2 * n * n)
+    bottom[::2 * n + 1] = [scale] * n
+    return reversed_charpoly(ExactMatrix._from_ints(2 * n, 2 * n, scale, c + bottom))

@@ -24,6 +24,7 @@ from .matrices import (
     det_exact,
     edge_matrix,
     grover_matrix,
+    positive_support,
     transition_matrix,
 )
 from .polynomials import (
@@ -51,7 +52,8 @@ def _times_circle_power(det: ExactPolynomial, k: int) -> ExactRationalFunction:
     """det * (1-u^2)^k as a reduced rational function; k < 0 for trees.
 
     (1-u^2)^|k| has the coefficient (-1)^j C(|k|, j) at u^(2j), so for
-    k >= 0 the product is a convolution over det's nonzero coefficients.
+    k >= 0 the product is a convolution over det's nonzero coefficients,
+    taken on det's integer numerators over their common denominator.
     """
     circle = [(2 * j, (-1) ** j * math.comb(abs(k), j)) for j in range(abs(k) + 1)]
     if k < 0:
@@ -59,12 +61,13 @@ def _times_circle_power(det: ExactPolynomial, k: int) -> ExactRationalFunction:
         for i, c in circle:
             power[i] = c
         return ExactRationalFunction.from_parts(det, ExactPolynomial.from_coeffs(power))
-    out = [0] * (len(det.coeffs) + 2 * k)
-    for i, a in enumerate(det.coeffs):
+    scale, ints = det.integer_form
+    out = [0] * (len(ints) + 2 * k)
+    for i, a in enumerate(ints):
         if a:
             for j, c in circle:
                 out[i + j] += a * c
-    return ExactRationalFunction.from_parts(ExactPolynomial.from_coeffs(out),
+    return ExactRationalFunction.from_parts(ExactPolynomial.from_integer_form(scale, out),
                                             ExactPolynomial.one())
 
 
@@ -117,18 +120,20 @@ def _konno_sato_vertex_side(g: Graph) -> ExactPolynomial:
 
     With det(I - tP) = sum c_k t^k and t = 2u/(1+u^2), the determinant is
     (1+u^2)^n det(I - tP) = sum c_k (2u)^k (1+u^2)^(n-k), built by the
-    homogeneous Horner rule acc <- acc (1+u^2) + c_k (2u)^k in O(n^2).
+    homogeneous Horner rule acc <- acc (1+u^2) + c_k (2u)^k in O(n^2),
+    run on the integer numerators of the c_k over their common denominator.
     """
-    c = reversed_charpoly(transition_matrix(g))
-    acc = [Fraction(0)]
+    scale, c = reversed_charpoly(transition_matrix(g)).integer_form
+    c += [0] * (g.n + 1 - len(c))
+    acc = [0]
     for k in range(g.n + 1):
-        nxt = acc + [Fraction(0), Fraction(0)]
+        nxt = acc + [0, 0]
         for i, x in enumerate(acc):
             if x:
                 nxt[i + 2] += x
-        nxt[k] += c.coeff(k) * 2 ** k
+        nxt[k] += c[k] * 2 ** k
         acc = nxt
-    return ExactPolynomial.from_coeffs(acc)
+    return ExactPolynomial.from_integer_form(scale, acc)
 
 
 def verify_konno_sato(g: Graph) -> KonnoSatoReport:
@@ -144,7 +149,7 @@ def verify_konno_sato(g: Graph) -> KonnoSatoReport:
 
     mismatches: list[tuple[int, Fraction, Fraction]] = []
     if rhs.is_polynomial:
-        rhs_poly = rhs.num.scale(1 / rhs.den.coeff(0))
+        rhs_poly = rhs.num  # the monic constant denominator is 1
         top = max(lhs.degree, rhs_poly.degree)
         for i in range(top + 1):
             a, b = lhs.coeff(i), rhs_poly.coeff(i)
@@ -185,8 +190,6 @@ def verify_ihara_routes(g: Graph) -> IharaRouteReport:
     at d = 1), so that comparison is reported but only counted as a
     failure on graphs where it must hold.
     """
-    from .matrices import positive_support  # local import keeps module top tidy
-
     z_edge = ihara_zeta(g, route="edge")
     z_bass = ihara_zeta(g, route="bass")
     routes_equal = z_edge == z_bass

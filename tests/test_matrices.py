@@ -1,17 +1,25 @@
+import copy
+import json
+import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import azw.matrices as matrices
 from azw import (
     ExactMatrix,
     adjacency_and_degree,
+    arc_table,
+    builtin_corpus,
     det_exact,
     edge_matrix,
     generate,
     grover_matrix,
+    poly_matrix_det,
     positive_support,
     reversed_charpoly,
     transition_matrix,
@@ -275,6 +283,9 @@ def test_matrix_json_round_trip():
     again = ExactMatrix.from_json(m.to_json())
     assert again == m
     assert '"1"' in m.to_json() and '"0"' in m.to_json()
+    for empty in (ExactMatrix.zeros(0, 3), ExactMatrix.zeros(3, 0),
+                  ExactMatrix.zeros(3, 0).transpose()):
+        assert ExactMatrix.from_json(empty.to_json()) == empty
 
 
 @given(connected_graphs(max_n=6))
@@ -290,3 +301,148 @@ def test_grover_orthogonality_property(g):
 def test_grover_rows_sum_to_one(g):
     for row in grover_matrix(g).entries:
         assert sum(row) == 1
+
+
+# ---- the integer form against plain Fraction arithmetic
+
+small_fractions = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+scalars = st.one_of(st.just(F(0)), st.integers(-4, 4).map(F), small_fractions)
+
+
+def fraction_rows(rows: int, cols: int):
+    return st.lists(st.lists(small_fractions, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def fraction_matrix_triples(draw):
+    """Two Fraction row lists of one shape, and a third that can follow them
+    in a product."""
+    rows, cols, width = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(fraction_rows(rows, cols)), draw(fraction_rows(rows, cols)), \
+        draw(fraction_rows(cols, width))
+
+
+def _product(a, b):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), F(0)) for j in range(len(b[0]))]
+            for row in a]
+
+
+def _canonical(rows) -> tuple[int, tuple[int, ...]]:
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, tuple(int(x * scale) for row in rows for x in row)
+
+
+def _as_tuples(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+@given(fraction_matrix_triples(), scalars)
+@settings(max_examples=150, deadline=None)
+def test_integer_form_arithmetic_agrees_with_fractions(triple, c):
+    a_rows, b_rows, c_rows = triple
+    a, b, m = ExactMatrix(a_rows), ExactMatrix.from_rows(b_rows), ExactMatrix(c_rows)
+    assert a.entries == _as_tuples(a_rows)
+    assert a.integer_form == _canonical(a_rows)
+    assert a.scale(c).entries == _as_tuples([[c * x for x in row] for row in a_rows])
+    assert (a + b).entries == _as_tuples(
+        [[x + y for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)])
+    assert (a - b).entries == _as_tuples(
+        [[x - y for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)])
+    assert a.transpose().entries == _as_tuples(zip(*a_rows))
+    assert (a @ m).entries == _as_tuples(_product(a_rows, c_rows))
+    for result in (a.scale(c), a + b, a - b, a.transpose(), a @ m):
+        # every result is held in its canonical form
+        assert result.integer_form == _canonical(result.entries)
+    if a.is_square:
+        assert positive_support(a).entries == _as_tuples(
+            [[F(1) if x > 0 else F(0) for x in row] for row in a_rows])
+
+
+@given(fraction_matrix_triples(), small_fractions.filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_equal_matrices_have_equal_forms_and_hashes(triple, c):
+    a_rows, _, _ = triple
+    a = ExactMatrix(a_rows)
+    for same in (a.scale(2).scale(F(1, 2)), a.scale(c).scale(1 / c),
+                 ExactMatrix.from_rows([[str(x) for x in row] for row in a_rows]),
+                 a.transpose().transpose(), a + ExactMatrix.zeros(a.rows, a.cols)):
+        assert same == a
+        assert same.integer_form == a.integer_form and hash(same) == hash(a)
+    zero = ExactMatrix.zeros(a.rows, a.cols)
+    for none in (a - a, a.scale(0)):
+        assert none == zero
+        assert none.integer_form == zero.integer_form == (1, (0,) * (a.rows * a.cols))
+        assert hash(none) == hash(zero)
+
+
+@st.composite
+def blocks_of_different_scales(draw):
+    n = draw(st.integers(1, 3))
+    a1 = ExactMatrix(draw(fraction_rows(n, n)))
+    a2 = ExactMatrix(draw(fraction_rows(n, n)))
+    assume(a1.integer_form[0] != a2.integer_form[0])
+    return a1, a2
+
+
+@given(blocks_of_different_scales())
+@settings(max_examples=60, deadline=None)
+def test_poly_matrix_det_over_blocks_of_different_scales(blocks):
+    a1, a2 = blocks
+    n = a1.rows
+    poly = poly_matrix_det(a1, a2)
+    assert poly.degree <= 2 * n
+    for u in (F(1, 3), F(-2, 5), F(7, 2)):
+        want = bareiss_det(ExactMatrix.identity(n) + a1.scale(u) + a2.scale(u * u))
+        assert poly(u) == want, (a1, a2, u)
+
+
+def test_matrix_is_immutable_and_picklable():
+    m = ExactMatrix.identity(2)
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    half = ExactMatrix.from_rows([["1/2", 0]])
+    assert pickle.loads(pickle.dumps(half)) == half == copy.deepcopy(half)
+    with pytest.raises(IndexError):
+        m[2, 0]
+    assert m[-1, -1] == 1
+
+
+# ---- the walk builders against the arc definitions, byte for byte
+
+def _reference_json(rows) -> str:
+    """The wire format built straight from Fraction rows, without ExactMatrix."""
+    return json.dumps({"rows": len(rows), "cols": len(rows[0]) if rows else 0,
+                       "entries": [[str(x) for x in row] for row in rows]})
+
+
+def _reference_matrices(g) -> dict[str, list[list[Fraction]]]:
+    arcs = arc_table(g).arcs
+    deg = g.degrees()
+    adjacent = set(g.edges) | {(v, u) for u, v in g.edges}
+    vertices = range(g.n)
+    return {
+        # U[e][f] = 2/deg(o(e)) - [f = e reversed] when f ends where e starts
+        "grover": [[F(2, deg[oe]) - (1 if (of, tf) == (te, oe) else 0) if tf == oe else F(0)
+                    for (of, tf) in arcs] for (oe, te) in arcs],
+        # B[e][f] = 1 when f starts where e ends and f is not e reversed
+        "edge": [[F(1) if of == te and tf != oe else F(0) for (of, tf) in arcs]
+                 for (oe, te) in arcs],
+        "transition": [[F(1, deg[u]) if (u, v) in adjacent else F(0) for v in vertices]
+                       for u in vertices],
+        "adjacency": [[F(1) if (u, v) in adjacent else F(0) for v in vertices] for u in vertices],
+        "degree": [[F(deg[u]) if u == v else F(0) for v in vertices] for u in vertices],
+    }
+
+
+def test_walk_matrices_json_matches_the_arc_definitions():
+    for name, g in builtin_corpus():
+        adjacency, degree = adjacency_and_degree(g)
+        built = {"grover": grover_matrix(g), "edge": edge_matrix(g),
+                 "transition": transition_matrix(g), "adjacency": adjacency, "degree": degree}
+        for kind, rows in _reference_matrices(g).items():
+            want = _reference_json(rows)
+            assert built[kind].to_json() == want, (name, kind)
+            assert ExactMatrix(rows).to_json() == want, (name, kind)
+            assert ExactMatrix.from_rows([[str(x) for x in row] for row in rows]).to_json() == want
+            assert ExactMatrix(rows) == built[kind], (name, kind)

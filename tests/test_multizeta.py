@@ -365,6 +365,21 @@ def test_sine_of_overflowing_gammas():
     assert abs(got - math.sqrt(2)) <= 1e-9
 
 
+def test_gamma_and_sine_are_real_for_real_shifts():
+    # the kernel's principal-branch powers of the negative reflected shift
+    # leave a rounding-size imaginary part, which must not reach the caller
+    assert multiple_sine(MultiZetaParams(1, 200.25, (1.0,))).imag == 0.0
+    for params in (MultiZetaParams(2, 7.3, (2.0, 2.0)), MultiZetaParams(3, 2.6, (1.0, 1.0, 1.0)),
+                   MultiZetaParams(1, -0.5, (1.0,)), MultiZetaParams(2, -2.7, (1.5, 1.5))):
+        for fn in (multiple_sine, multiple_gamma):
+            assert fn(params).imag == 0.0, (fn.__name__, params)
+    # Gamma(-1/2) / sqrt(2 pi) is negative: the real part keeps its sign
+    got = multiple_gamma(MultiZetaParams(1, -0.5, (1.0,)))
+    assert abs(got - math.gamma(-0.5) / math.sqrt(2 * math.pi)) < 1e-12
+    # a complex shift keeps its imaginary part
+    assert multiple_gamma(MultiZetaParams(2, 0.5 + 1j, (1.0, 1.0))).imag != 0.0
+
+
 def test_gamma_refuses_an_underflowed_value():
     # log Gamma_2(-94.5; 3, 3) is about -1649, so the gamma is below every
     # double; it used to come back as 0
