@@ -5,9 +5,13 @@ downstream hold exactly, never up to a tolerance. A matrix M is held as
 its one integer form (L, L*M), L the lcm of the entry denominators:
 the walk builders emit those ints directly, and arithmetic, hashing,
 equality and every exact kernel work on them. Fraction entries are
-derived only when read. Exact determinants are taken modulo word-size
-primes and lifted by Chinese remaindering under a Hadamard bound; the
-primes and the lift live here and are shared with the charpoly kernel.
+derived only when read. An exact determinant is taken by one
+elimination modulo q, a product of word-size primes just large enough for
+a Hadamard bound, and lifted symmetrically. Over Z/q a pivot must be a
+unit; a nonzero zero-divisor pivot splits q into two coprime factors,
+each solved on its own and joined by one Chinese remainder step. The
+primes, the pivot rule and the lift live here and are shared with the
+charpoly kernel.
 """
 
 from __future__ import annotations
@@ -61,21 +65,60 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def _crt_lift(size: int, bound: int, residues) -> list[int]:
-    """The `size` integers of absolute value at most `bound` whose residues
-    modulo each prime p are the values of residues(p).
+class _Split(Exception):
+    """A column modulo a composite q with nonzero entries but no unit:
+    `factor` = gcd(entry, q) is a proper factor of q."""
 
-    Residues modulo _prime(0), _prime(1), ... are combined by Chinese
-    remaindering until the modulus exceeds 2 * bound; the symmetric lift
-    into (-modulus/2, modulus/2) is then the integers themselves.
+    def __init__(self, factor: int):
+        super().__init__(factor)
+        self.factor = factor
+
+
+def _unit_pivot(h: list[list[int]], col: int, start: int, q: int) -> int | None:
+    """The first row i >= start with h[i][col] a unit modulo q, or None
+    when the column is zero there. Raises _Split when the column has a
+    nonzero entry but no unit, which a prime q never does."""
+    factor = 0
+    for i in range(start, len(h)):
+        x = h[i][col]
+        if x:
+            g = gcd(x, q)
+            if g == 1:
+                return i
+            factor = factor or g
+    if factor:
+        raise _Split(factor)
+    return None
+
+
+def _solve_mod(q: int, residues) -> list[int]:
+    """residues(q), in [0, q). When a zero-divisor pivot splits q, the
+    coprime factors g and q/g are solved on their own and joined by one
+    Chinese remainder step; a prime never splits, so this ends."""
+    try:
+        return list(residues(q))
+    except _Split as split:
+        g = split.factor
+        h = q // g
+        inv = pow(g, -1, h)
+        return [x + g * ((y - x) * inv % h)
+                for x, y in zip(_solve_mod(g, residues), _solve_mod(h, residues))]
+
+
+def _crt_lift(bound: int, residues) -> list[int]:
+    """The integers of absolute value at most `bound` whose residues
+    modulo q are the values of residues(q).
+
+    q = _prime(0) * _prime(1) * ... stops growing once it exceeds
+    2 * bound, and residues runs once modulo q (or once per factor, if a
+    zero-divisor pivot splits q); the symmetric lift into (-q/2, q/2) is
+    then the integers themselves.
     """
-    lifted, modulus, i = [0] * size, 1, 0
+    modulus, i = 1, 0
     while modulus <= 2 * bound:
-        p = _prime(i)
-        inv = pow(modulus, -1, p)
-        lifted = [r + modulus * ((y - r) * inv % p) for r, y in zip(lifted, residues(p))]
-        modulus *= p
+        modulus *= _prime(i)
         i += 1
+    lifted = _solve_mod(modulus, residues)
     half = modulus // 2
     return [e - modulus if e > half else e for e in lifted]
 
@@ -252,45 +295,50 @@ class ExactMatrix:
         return m
 
 
-def _det_mod(a, p: int) -> int:
-    """det(A) mod p for an integer matrix A, by Gaussian elimination over
-    F_p with row swaps. Zero entries are skipped, which keeps sparse walk
-    matrices cheap."""
+def _det_mod(a, q: int) -> int:
+    """det(A) mod q for an integer matrix A, by Gaussian elimination over
+    Z/q with row swaps; q is a product of word primes.
+
+    Pivots are units (`_unit_pivot`): a column that is zero modulo q
+    gives det 0, and a nonzero zero-divisor pivot raises _Split, which
+    splits q. Zero entries are skipped, which keeps sparse walk matrices
+    cheap.
+    """
     n = len(a)
-    h = [[x % p for x in row] for row in a]
+    h = [[x % q for x in row] for row in a]
     det = 1
     for k in range(n):
-        pivot = next((i for i in range(k, n) if h[i][k]), None)
+        pivot = _unit_pivot(h, k, k, q)
         if pivot is None:
             return 0
         if pivot != k:
             h[pivot], h[k] = h[k], h[pivot]
             det = -det
         hk = h[k]
-        det = det * hk[k] % p
-        inv = pow(hk[k], -1, p)
+        det = det * hk[k] % q
+        inv = pow(hk[k], -1, q)
         support = [(j, hk[j]) for j in range(k + 1, n) if hk[j]]
         # column k below the pivot is never read again, so it is left stale
         for i in range(k + 1, n):
             hi = h[i]
             c = hi[k]
             if c:
-                c = c * inv % p
+                c = c * inv % q
                 for j, y in support:
-                    hi[j] = (hi[j] - c * y) % p
+                    hi[j] = (hi[j] - c * y) % q
     return det
 
 
 def det_exact(matrix: ExactMatrix) -> Fraction:
-    """Exact determinant by elimination modulo word-size primes.
+    """Exact determinant by one elimination modulo a product of word primes.
 
     With (L, A) the integer form, det M = det A / L^n. By Hadamard,
     |det A| is at most the product of A's row norms, so below
-    B = prod(isqrt(sum_j A_ij^2) + 1). det A is taken over F_p for the
-    primes of `_prime` (`_det_mod`) and lifted by Chinese remaindering
-    once the modulus exceeds 2B. No prime is unlucky: the determinant
-    commutes with reduction mod p, and a singular residue is just the
-    residue 0.
+    B = prod(isqrt(sum_j A_ij^2) + 1). det A is taken modulo q, a product
+    of word primes of `_prime` above 2B (`_det_mod`); pivots are units,
+    and a zero-divisor pivot splits q (`_crt_lift`). The symmetric lift
+    of the residue is det A. No prime is unlucky: the determinant commutes
+    with reduction mod q, and a singular residue is just the residue 0.
     """
     if not matrix.is_square:
         raise NonSquareError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
@@ -298,7 +346,7 @@ def det_exact(matrix: ExactMatrix) -> Fraction:
     bound = 1
     for row in a:
         bound *= isqrt(sum(x * x for x in row if x)) + 1
-    (lifted,) = _crt_lift(1, bound, lambda p: (_det_mod(a, p),))
+    (lifted,) = _crt_lift(bound, lambda q: (_det_mod(a, q),))
     return Fraction(lifted, scale ** len(a))
 
 

@@ -39,6 +39,9 @@ _TWO_PI = 2.0 * math.pi
 _EM_SHIFT = 24
 _BERNOULLI_ORDER = 12
 _SERIES_BUDGET = 2_000_000
+# The most shifts a refold of integer periods may make. Past it the
+# rectangle, whose cost does not grow with the lcm of the periods, is used.
+_REFOLD_SHIFTS = 1024
 
 
 @dataclass(frozen=True)
@@ -377,8 +380,9 @@ def multiple_sine(params: MultiZetaParams,
 # ---------------------------------------------------------------------------
 # Direct lattice series (convergent domain only). The equal-period case
 # collapses to one index with a polynomial multiplicity and gets a
-# closed-form integral-corrected tail; the unequal case truncates a
-# rectangle and certifies the remainder with nested integral comparisons.
+# closed-form integral-corrected tail. Unequal integer periods refold onto
+# one period first; other unequal periods truncate a rectangle and certify
+# the remainder with nested integral comparisons.
 
 def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]],
                       s: complex, policy: PrecisionPolicy) -> tuple[complex, float]:
@@ -549,19 +553,50 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
             f"lattice series terms overflow double precision at s={s}, shift {x}") from exc
 
 
+def _refolded_lattice(params: MultiZetaParams) -> tuple[float, list[tuple[int, complex]]] | None:
+    """The period N and the (c, y) terms with the lattice sum over the
+    periods equal to sum c zeta_r(s, y; N, ..., N), or None when the
+    periods do not refold within _REFOLD_SHIFTS shifts.
+
+    Equal periods are the one term (1, x). Integer periods refold to
+    N = lcm, as `abszeta` refolds a form: an index n of period w is
+    q N/w + t with t < N/w, so w contributes the shifts x + t w, and c
+    counts the ways to reach each x + k.
+    """
+    x = complex(params.shift)
+    if params.equal_periods:
+        return params.periods[0], [(1, x)]
+    if not all(float(w).is_integer() for w in params.periods):
+        return None
+    ints = [int(w) for w in params.periods]
+    period = math.lcm(*ints)
+    if period > sys.float_info.max or math.prod(period // w for w in ints) > _REFOLD_SHIFTS:
+        return None
+    counts = [1]
+    for w in ints:
+        out = [0] * (len(counts) + period - w)
+        for k in range(0, period, w):
+            for j, c in enumerate(counts):
+                out[j + k] += c
+        counts = out
+    return float(period), [(c, x + k) for k, c in enumerate(counts) if c]
+
+
 def direct_series(params: MultiZetaParams, s,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Direct lattice summation, convergent domain Re(s) > order only.
 
     Serves as the independent cross-check of the equal-period reduction
-    and as the shipped path for unequal periods.
+    and as the shipped path for unequal periods. With Re(shift) > 0, equal
+    or integer periods are summed as one-period series (`_refolded_lattice`,
+    `_collapsed_series`); other periods truncate a rectangle.
     """
     s = complex(s)
     if s.real <= params.order:
         raise UnsupportedContinuationError("direct series needs Re(s) > order")
-    if params.equal_periods and complex(params.shift).real > 0:
-        value, _ = _collapsed_series(params.order, params.periods[0],
-                                     [(1, complex(params.shift))], s, policy)
-    else:
+    refolded = _refolded_lattice(params) if complex(params.shift).real > 0 else None
+    if refolded is None:
         value, _ = _rectangular_series(params, s, policy)
+    else:
+        value, _ = _collapsed_series(params.order, *refolded, s, policy)
     return value

@@ -6,13 +6,16 @@ are kept in lowest terms with a monic denominator; any sign lives in the
 numerator, which makes the printable form unique.
 
 Every determinant polynomial goes through one kernel, `reversed_charpoly`:
-det(I - uM) is taken by a Hessenberg reduction over word-size primes on
-the matrix's integer form L*M (L the lcm of the denominators), and the
-residues are lifted by Chinese remaindering under a Hadamard bound on the
-coefficients. `poly_matrix_det` is the same kernel on a block companion,
-which it builds on the ints of the two blocks' integer forms, so no
-Fraction matrix arithmetic happens on the way. The primes and the lift
-come from `matrices`, where `det_exact` uses them for elimination.
+det(I - uM) is taken by one Hessenberg reduction modulo q on the matrix's
+integer form L*M (L the lcm of the denominators), q a product of
+word-size primes above twice a Hadamard bound on the coefficients, and
+the residues are lifted symmetrically. Pivots are units modulo q; a
+zero-divisor pivot splits q into coprime factors that are solved apart
+and joined by Chinese remaindering. `poly_matrix_det` is the same kernel
+on a block companion, which it builds on the ints of the two blocks'
+integer forms, so no Fraction matrix arithmetic happens on the way. The
+primes, the pivot rule and the lift come from `matrices`, where
+`det_exact` uses them for elimination.
 `ExactRationalFunction.from_parts` looks for a common factor only when
 both sides have positive degree, and rescales only a denominator that is
 not yet monic.
@@ -28,7 +31,7 @@ from math import isqrt, lcm
 
 from .errors import NonSquareError, PoleError
 # _PRIMES and _prime are re-exported: the charpoly runs on these primes
-from .matrices import _PRIMES, ExactMatrix, _crt_lift, _prime  # noqa: F401
+from .matrices import _PRIMES, ExactMatrix, _crt_lift, _prime, _unit_pivot  # noqa: F401
 
 
 def _trim(coeffs) -> tuple[Fraction, ...]:
@@ -279,19 +282,22 @@ def rational_function_eval(f: ExactRationalFunction, x) -> complex:
     return complex(f.num(x)) / den
 
 
-def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
-    """det(lambda I - A) mod p for an integer matrix A, ascending powers.
+def _charpoly_mod(a: list[list[int]], q: int) -> list[int]:
+    """det(lambda I - A) mod q for an integer matrix A, ascending powers;
+    q is a product of word primes.
 
-    Reduces A mod p to upper Hessenberg form H by similarity transforms,
+    Reduces A mod q to upper Hessenberg form H by similarity transforms,
     then runs the subdiagonal recurrence for det(lambda I - H) on the
     leading principal blocks (Cohen, A Course in Computational Algebraic
-    Number Theory, GTM 138, Alg. 2.2.9). Zero entries are skipped, which
-    keeps sparse walk matrices cheap.
+    Number Theory, GTM 138, Alg. 2.2.9), which holds over Z/q as long as
+    every pivot is a unit (`_unit_pivot`). A column that is zero modulo q
+    is skipped; a nonzero zero-divisor pivot raises _Split, which splits
+    q. Zero entries are skipped, which keeps sparse walk matrices cheap.
     """
     n = len(a)
-    h = [[x % p for x in row] for row in a]
+    h = [[x % q for x in row] for row in a]
     for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        pivot = _unit_pivot(h, m - 1, m, q)
         if pivot is None:
             continue  # column already reduced below the subdiagonal
         if pivot != m:
@@ -299,16 +305,16 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
             for row in h:
                 row[pivot], row[m] = row[m], row[pivot]
         hm = h[m]
-        inv = pow(hm[m - 1], -1, p)
+        inv = pow(hm[m - 1], -1, q)
         support = [(j, hm[j]) for j in range(m - 1, n) if hm[j]]
         cols = []
         for i in range(m + 1, n):
             hi = h[i]
             c = hi[m - 1]
             if c:
-                c = c * inv % p
+                c = c * inv % q
                 for j, y in support:
-                    hi[j] = (hi[j] - c * y) % p
+                    hi[j] = (hi[j] - c * y) % q
                 cols.append((i, c))
         # the row operations only subtract multiples of row m, so they
         # commute, and their inverse (column m += c * column i for each)
@@ -319,7 +325,7 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
                 for i, c in cols:
                     if row[i]:
                         s += c * row[i]
-                row[m] = s % p
+                row[m] = s % q
     # chars[k][j] = coefficient of lambda^j in det(lambda I - H[:k, :k])
     chars = [[1]]
     for m in range(n):
@@ -330,14 +336,14 @@ def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
                 nxt[j] -= d * c
         sub = 1
         for i in range(m - 1, -1, -1):
-            sub = sub * h[i + 1][i] % p
+            sub = sub * h[i + 1][i] % q
             if not sub:
                 break
-            c = h[i][m] * sub % p
+            c = h[i][m] * sub % q
             if c:
                 for j, x in enumerate(chars[i]):
                     nxt[j] -= c * x
-        chars.append([x % p for x in nxt])
+        chars.append([x % q for x in nxt])
     return chars[n]
 
 
@@ -350,13 +356,12 @@ def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
     is the coefficient of v^k in det(I - v*A): a signed sum of the
     principal k-minors of A. By Hadamard each minor is at most the
     product of its rows' norms r_i, so |e_k| <= e_k(r) <= B =
-    prod(1 + r_i). The charpoly of A is taken modulo word-size primes
-    (`_charpoly_mod`) and the residues are combined by Chinese
-    remaindering until the modulus exceeds 2B; the symmetric lift is then
-    exact (`_crt_lift`, shared with `det_exact`). No prime is unlucky:
-    the charpoly commutes with reduction mod p, and the Hessenberg
-    reduction over F_p only needs a nonzero pivot, which it searches
-    for. The constant term of the result is always 1.
+    prod(1 + r_i). The charpoly of A is taken once modulo q, a product of
+    word primes above 2B (`_charpoly_mod`); pivots are units, and a
+    zero-divisor pivot splits q (`_crt_lift`, shared with `det_exact`).
+    The symmetric lift of the residues is then exact. No prime is
+    unlucky: the charpoly commutes with reduction mod q. The constant
+    term of the result is always 1.
     """
     if not matrix.is_square:
         raise NonSquareError("characteristic polynomial needs a square matrix")
@@ -365,8 +370,12 @@ def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
     for row in a:
         bound *= isqrt(sum(x * x for x in row if x)) + 2
     # e_k is the coefficient of v^k, since det(I - vA) = v^n char(1/v)
-    coeffs = _crt_lift(len(a) + 1, bound, lambda p: reversed(_charpoly_mod(a, p)))
-    return ExactPolynomial(_trim(Fraction(e, scale ** k) for k, e in enumerate(coeffs)))
+    coeffs = []
+    power = 1  # L^k
+    for e in _crt_lift(bound, lambda q: reversed(_charpoly_mod(a, q))):
+        coeffs.append(Fraction(e, power))
+        power *= scale
+    return ExactPolynomial(_trim(coeffs))
 
 
 def poly_matrix_det(a1: ExactMatrix, a2: ExactMatrix) -> ExactPolynomial:

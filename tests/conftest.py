@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from azw import ExactMatrix, build_graph, builtin_corpus
+from azw.matrices import _prime
 
 SESSION_START = time.perf_counter()
 
@@ -36,6 +37,26 @@ def connected_graphs(draw, max_n: int = 7):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return build_graph(n, sorted(edges))
+
+
+def word_prime_count(modulus: int) -> int:
+    """k when modulus is _prime(0) * _prime(1) * ... * _prime(k - 1), the
+    kind of modulus the exact kernels run on; 0 for any other modulus."""
+    product, k = 1, 0
+    while product < modulus:
+        product *= _prime(k)
+        k += 1
+    return k if product == modulus else 0
+
+
+def recording(kernel, moduli: list):
+    """`kernel` with every modulus it is called on appended to `moduli`."""
+
+    def wrapper(a, q):
+        moduli.append(q)
+        return kernel(a, q)
+
+    return wrapper
 
 
 def bareiss_det(matrix: ExactMatrix) -> Fraction:

@@ -601,7 +601,9 @@ def test_functional_equation_singular_points():
     lambda: absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), 1e300, -3.5, "series"),
     lambda: absolute_zeta(CyclotomicForm(0, (), (3, 3, 3)), 1e300),
     lambda: direct_series(MultiZetaParams(2, 0.5, (1.0, 2.0)), 1e5),
-], ids=["hurwitz", "Z-structure", "Z-mellin", "Z-series", "zeta", "rectangle"])
+    lambda: direct_series(MultiZetaParams(2, 0.5, (1.0, 2.5)), 1e5),
+], ids=["hurwitz", "Z-structure", "Z-mellin", "Z-series", "zeta", "rectangle",
+        "rectangle-non-integer"])
 def test_overflowing_powers_are_domain_errors(call):
     # finite inputs whose powers overflow a double are refused with the
     # arguments named, not leaked as a bare OverflowError

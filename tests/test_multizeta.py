@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -273,9 +274,27 @@ def test_rectangular_path_matches_collapsed():
     assert abs(a - b) < 1e-9
 
 
+def test_integer_periods_refold_onto_their_lcm():
+    # the rectangle took 2.7 s over about 1e6 points here; refolded onto
+    # the period 2 it is two one-period series (mpmath, 25 digits)
+    pol = PrecisionPolicy(target=1e-10)
+    params = MultiZetaParams(2, 3.0, (1.0, 2.0))
+    start = time.perf_counter()
+    got = multiple_hurwitz_zeta(params, 6.0, pol)
+    assert time.perf_counter() - start < 0.5
+    want = 0.00184435390770688
+    assert abs(got - want) <= 1e-10 * want
+    # and it agrees with the rectangle, which non-integer periods keep
+    from azw.multizeta import _rectangular_series
+    rect, bound = _rectangular_series(MultiZetaParams(2, 1.0, (1.0, 2.0)), complex(6.0), pol)
+    assert abs(direct_series(MultiZetaParams(2, 1.0, (1.0, 2.0)), 6.0, pol) - rect) <= 2 * bound
+
+
 def test_rectangle_stops_on_the_relative_target(monkeypatch):
     # |value| is about 3e-8, so an absolute stop at 1e-13 returned a value
-    # off by 1.3e-7 relative; it must meet target * |ref| or refuse
+    # off by 1.3e-7 relative; it must meet target * |ref| or refuse.
+    # direct_series refolds these integer periods, so the rectangle is
+    # called on its own
     mpmath = pytest.importorskip("mpmath")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     import references
@@ -284,7 +303,8 @@ def test_rectangle_stops_on_the_relative_target(monkeypatch):
     with mpmath.workdps(25):
         want = complex(references.two_period_zeta(13.3, 2, 3, 7.0))
     try:
-        got = direct_series(MultiZetaParams(2, 13.3, (2.0, 3.0)), 7.0)
+        got, _ = multizeta._rectangular_series(
+            MultiZetaParams(2, 13.3, (2.0, 3.0)), complex(7.0), DEFAULT_POLICY)
     except PrecisionError:
         return
     assert abs(got - want) <= DEFAULT_POLICY.target * abs(want)

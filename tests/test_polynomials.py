@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from azw import (
     ExactMatrix,
@@ -19,9 +21,10 @@ from azw import (
     transition_matrix,
     verify_konno_sato,
 )
+import azw.matrices as matrices
 import azw.polynomials as polynomials
 from azw.errors import NonSquareError, PoleError
-from conftest import bareiss_det, connected_graphs
+from conftest import bareiss_det, connected_graphs, recording, word_prime_count
 from test_matrices import CORPUS_DET_U
 
 F = Fraction
@@ -182,13 +185,7 @@ def test_charpoly_lifts_huge_coefficients_over_several_primes(monkeypatch):
     # numerators up to 1e30 over pairwise coprime denominators make the
     # Hadamard bound, and so the number of primes, large
     used = []
-    kernel = polynomials._charpoly_mod
-
-    def counting(a, p):
-        used.append(p)
-        return kernel(a, p)
-
-    monkeypatch.setattr(polynomials, "_charpoly_mod", counting)
+    monkeypatch.setattr(polynomials, "_charpoly_mod", recording(polynomials._charpoly_mod, used))
     rng = random.Random(20261018)
     coprime = (7, 11, 13, 17, 19, 23, 29, 31, 37)
     for _ in range(6):
@@ -197,7 +194,13 @@ def test_charpoly_lifts_huge_coefficients_over_several_primes(monkeypatch):
                for _ in range(n)])
         used.clear()
         assert _agrees_with_bareiss(reversed_charpoly(m), m), m
-        assert len(used) >= 3, len(used)
+        # one reduction carries every prime: its modulus is the product
+        # of at least three word primes, above twice the Hadamard bound
+        bound = 1
+        for row in m.integer_rows():
+            bound *= isqrt(sum(x * x for x in row)) + 2
+        (q,) = used
+        assert word_prime_count(q) >= 3 and q > 2 * bound, used
 
 
 def test_charpoly_of_entries_past_the_word_size():
@@ -205,13 +208,56 @@ def test_charpoly_of_entries_past_the_word_size():
     assert _agrees_with_bareiss(reversed_charpoly(m), m)
 
 
-def test_charpoly_of_multiples_of_the_first_prime():
+def test_charpoly_of_multiples_of_the_first_prime(monkeypatch):
     # the matrix is zero modulo the first prime: that residue is lambda^n
-    # and is still correct, so no prime needs to be skipped
+    # and is still correct. Modulo the product q of the primes its pivots
+    # are zero divisors, so q splits and the first prime is solved alone
     p = polynomials._prime(0)
     rng = random.Random(5)
     m = M([[p * rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+    used = []
+    monkeypatch.setattr(polynomials, "_charpoly_mod", recording(polynomials._charpoly_mod, used))
     assert _agrees_with_bareiss(reversed_charpoly(m), m)
+    assert word_prime_count(used[0]) >= 2 and p in used[1:], used
+
+
+def test_a_zero_divisor_pivot_splits_the_charpoly_modulus():
+    # modulo 15 the column under the first subdiagonal entry is (3, 5):
+    # nonzero, but no unit
+    a = [[1, 2, 0], [3, 1, 4], [5, 0, 2]]
+    with pytest.raises(matrices._Split) as split:
+        polynomials._charpoly_mod(a, 15)
+    assert split.value.factor == 3
+    # det(lambda I - A) over the integers, by the lifted exact kernel
+    want = [int(c) for c in reversed(reversed_charpoly(M(a)).coeffs)]
+    assert matrices._solve_mod(15, lambda q: polynomials._charpoly_mod(a, q)) == [
+        c % 15 for c in want]
+
+
+square_int_matrices = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(square_int_matrices)
+@settings(max_examples=200, deadline=None)
+def test_composite_modulus_matches_the_prime_kernels(a):
+    # modulo 3*5*7*11 small entries often leave a zero-divisor pivot, so
+    # the split runs; the residues must be those of each prime on its own
+    q = 3 * 5 * 7 * 11
+    det = matrices._solve_mod(q, lambda r: (matrices._det_mod(a, r),))
+    char = matrices._solve_mod(q, lambda r: polynomials._charpoly_mod(a, r))
+    assert all(0 <= x < q for x in det + char)
+    for p in (3, 5, 7, 11):
+        assert [x % p for x in det] == [matrices._det_mod(a, p)]
+        assert [x % p for x in char] == polynomials._charpoly_mod(a, p)
+
+
+def test_grover_charpoly_of_k7_runs_the_kernel_once(monkeypatch):
+    # the 42 x 42 Grover matrix needs two primes, and one call carries both
+    used = []
+    monkeypatch.setattr(polynomials, "_charpoly_mod", recording(polynomials._charpoly_mod, used))
+    polynomials.reversed_charpoly.__wrapped__(grover_matrix(generate("complete", 7)))
+    assert len(used) == 1 and word_prime_count(used[0]) >= 2, used
 
 
 def test_charpoly_of_degenerate_sizes():
