@@ -42,6 +42,7 @@ from .multizeta import (
     _checked_exp,
     _collapsed_series,
     _equal_period_sum,
+    _fold_counts,
     log_gamma,
     multiple_sine,
 )
@@ -260,15 +261,13 @@ def _refold(form: CyclotomicForm) -> tuple[int, list[tuple[int, int]]]:
             f"refolding to the period {period} gives a numerator of degree {degree}, "
             f"over the budget of {_REFOLD_BUDGET}")
     coeffs = [1]
-    factors = [((0, -1), (m, 1)) for m in form.num_exponents]
-    factors += [tuple((t * n, 1) for t in range(period // n))
-                for n in form.den_exponents if n != period]
-    for factor in factors:
-        out = [0] * (len(coeffs) + factor[-1][0])
-        for e, fe in factor:
-            for i, c in enumerate(coeffs):
-                out[i + e] += fe * c
+    for m in form.num_exponents:
+        out = [0] * (len(coeffs) + m)
+        for i, c in enumerate(coeffs):
+            out[i] -= c
+            out[i + m] += c
         coeffs = out
+    coeffs = _fold_counts(coeffs, period, form.den_exponents)
     return period, [(k, c) for k, c in enumerate(coeffs) if c]
 
 

@@ -34,14 +34,17 @@ from .errors import (
 _TWO_PI = 2.0 * math.pi
 
 # Euler-Maclaurin shift count N and highest Bernoulli index of the first
-# rung of the escalation ladder, and the most lattice points any one sum
-# may take (ladder, collapsed series or rectangle).
+# rung of the escalation ladder, the most lattice points any one sum may
+# take (ladder, collapsed series or rectangle), and the lattice steps the
+# collapsed series takes before its first stopping test.
 _EM_SHIFT = 24
 _BERNOULLI_ORDER = 12
 _SERIES_BUDGET = 2_000_000
-# The most shifts a refold of integer periods may make. Past it the
-# rectangle, whose cost does not grow with the lcm of the periods, is used.
-_REFOLD_SHIFTS = 1024
+_SERIES_BLOCK = 256
+# A rectangle point costs about two steps of the collapsed series over one
+# shift (1.3-1.6 us against 0.7 us in CPython 3.11), which `direct_series`
+# weighs when it picks a route for unequal integer periods.
+_RECTANGLE_POINT_COST = 2
 
 
 @dataclass(frozen=True)
@@ -381,8 +384,9 @@ def multiple_sine(params: MultiZetaParams,
 # Direct lattice series (convergent domain only). The equal-period case
 # collapses to one index with a polynomial multiplicity and gets a
 # closed-form integral-corrected tail. Unequal integer periods refold onto
-# one period first; other unequal periods truncate a rectangle and certify
-# the remainder with nested integral comparisons.
+# one period first unless the rectangle is predicted cheaper; other
+# unequal periods truncate a rectangle and certify the remainder with
+# nested integral comparisons.
 
 def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]],
                       s: complex, policy: PrecisionPolicy) -> tuple[complex, float]:
@@ -434,7 +438,7 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
     total = 0j
     size = 0.0
     k = 0
-    block = 256
+    block = _SERIES_BLOCK
     try:
         # for Re(s) > 0 the k = 0 powers are the largest; once all of them
         # underflow, so has every term, and neither the sum nor its tail
@@ -511,6 +515,45 @@ def _eval_bound_rep(rep: list[tuple[float, int]], y: float, sigma: float) -> flo
     return sum(c * y ** (e - sigma) for c, e in rep)
 
 
+def _rectangle_tail_bound(params: MultiZetaParams, sigma: float, cuts: list[int]) -> float:
+    # The sum over j of the nested integral bound on the slab where index j
+    # passes cuts[j]; it needs no term of the sum itself.
+    periods = params.periods
+    bound = 0.0
+    for j in range(params.order):
+        others = periods[:j] + periods[j + 1:] + (periods[j],)
+        rep = _power_bound_rep(sigma, others)
+        y_j = complex(params.shift).real + (cuts[j] + 1) * periods[j]
+        bound += _eval_bound_rep(rep, y_j, sigma)
+    return bound
+
+
+def _rectangle_cost(params: MultiZetaParams, s: complex, policy: PrecisionPolicy) -> float:
+    """Lattice points `_rectangular_series` sums before its tail bound
+    drops below the target times |x^(-s)|, its first term; inf when it
+    would pass the series budget first or a bound overflows.
+
+    For real s and a real shift every term is positive, so the partial sum
+    is at least that first term and the rectangle stops no later than
+    this count says.
+    """
+    log_first = (-s * cmath.log(complex(params.shift))).real
+    cuts = [16] * params.order
+    total = 0
+    try:
+        while True:
+            points = math.prod(c + 1 for c in cuts)
+            if points > _SERIES_BUDGET:
+                return math.inf
+            total += points
+            bound = _rectangle_tail_bound(params, s.real, cuts)
+            if bound == 0.0 or math.log(bound) <= math.log(policy.target) + log_first:
+                return total
+            cuts = [2 * c for c in cuts]
+    except OverflowError:
+        return math.inf
+
+
 def _rectangular_series(params: MultiZetaParams, s: complex,
                         policy: PrecisionPolicy) -> tuple[complex, float]:
     """Truncated rectangle plus a certified tail bound (any periods).
@@ -526,8 +569,7 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
     if x.real <= 0:
         raise UnsupportedContinuationError("direct rectangular series needs Re(shift) > 0")
     periods = params.periods
-    r = params.order
-    cuts = [16] * r
+    cuts = [16] * params.order
     try:
         while True:
             points = 1
@@ -539,12 +581,7 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
             for idx in _iproduct(*(range(c + 1) for c in cuts)):
                 base = x + sum(k * w for k, w in zip(idx, periods))
                 total += cmath.exp(-s * cmath.log(base))
-            bound = 0.0
-            for j in range(r):
-                others = periods[:j] + periods[j + 1:] + (periods[j],)
-                rep = _power_bound_rep(sigma, others)
-                y_j = x.real + (cuts[j] + 1) * periods[j]
-                bound += _eval_bound_rep(rep, y_j, sigma)
+            bound = _rectangle_tail_bound(params, sigma, cuts)
             if bound <= policy.target * abs(total):
                 return total, max(bound, 1e-18)
             cuts = [2 * c for c in cuts]
@@ -553,15 +590,29 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
             f"lattice series terms overflow double precision at s={s}, shift {x}") from exc
 
 
+def _fold_counts(coeffs: list[int], period: int, periods) -> list[int]:
+    """The ascending integer coefficients of coeffs(x) times the product
+    over w in periods of 1 + x^w + ... + x^(period - w); every w divides
+    period. This is how a lattice of periods w is refolded onto the one
+    period N: an index n of period w is q N/w + t with t < N/w."""
+    for w in periods:
+        out = [0] * (len(coeffs) + period - w)
+        for k in range(0, period, w):
+            for j, c in enumerate(coeffs):
+                out[j + k] += c
+        coeffs = out
+    return coeffs
+
+
 def _refolded_lattice(params: MultiZetaParams) -> tuple[float, list[tuple[int, complex]]] | None:
     """The period N and the (c, y) terms with the lattice sum over the
     periods equal to sum c zeta_r(s, y; N, ..., N), or None when the
-    periods do not refold within _REFOLD_SHIFTS shifts.
+    periods are not integers or _SERIES_BLOCK steps over every tuple of
+    refolded shifts would pass the series budget.
 
     Equal periods are the one term (1, x). Integer periods refold to
-    N = lcm, as `abszeta` refolds a form: an index n of period w is
-    q N/w + t with t < N/w, so w contributes the shifts x + t w, and c
-    counts the ways to reach each x + k.
+    N = lcm, as `abszeta` refolds a form: a period w contributes the
+    shifts x + t w for t < N/w, and c counts the tuples that reach x + k.
     """
     x = complex(params.shift)
     if params.equal_periods:
@@ -570,15 +621,10 @@ def _refolded_lattice(params: MultiZetaParams) -> tuple[float, list[tuple[int, c
         return None
     ints = [int(w) for w in params.periods]
     period = math.lcm(*ints)
-    if period > sys.float_info.max or math.prod(period // w for w in ints) > _REFOLD_SHIFTS:
+    if (period > sys.float_info.max
+            or _SERIES_BLOCK * math.prod(period // w for w in ints) > _SERIES_BUDGET):
         return None
-    counts = [1]
-    for w in ints:
-        out = [0] * (len(counts) + period - w)
-        for k in range(0, period, w):
-            for j, c in enumerate(counts):
-                out[j + k] += c
-        counts = out
+    counts = _fold_counts([1], period, ints)
     return float(period), [(c, x + k) for k, c in enumerate(counts) if c]
 
 
@@ -588,13 +634,21 @@ def direct_series(params: MultiZetaParams, s,
 
     Serves as the independent cross-check of the equal-period reduction
     and as the shipped path for unequal periods. With Re(shift) > 0, equal
-    or integer periods are summed as one-period series (`_refolded_lattice`,
-    `_collapsed_series`); other periods truncate a rectangle.
+    periods are summed as a one-period series (`_collapsed_series`).
+    Unequal integer periods take that series over their refold
+    (`_refolded_lattice`) unless the rectangle is cheaper: the series
+    steps at least _SERIES_BLOCK times over every refolded shift, against
+    the points `_rectangle_cost` predicts for the rectangle, each worth
+    _RECTANGLE_POINT_COST steps. Other periods truncate a rectangle.
     """
     s = complex(s)
     if s.real <= params.order:
         raise UnsupportedContinuationError("direct series needs Re(s) > order")
     refolded = _refolded_lattice(params) if complex(params.shift).real > 0 else None
+    if refolded is not None and not params.equal_periods:
+        rectangle = _RECTANGLE_POINT_COST * _rectangle_cost(params, s, policy)
+        if rectangle < _SERIES_BLOCK * len(refolded[1]):
+            refolded = None
     if refolded is None:
         value, _ = _rectangular_series(params, s, policy)
     else:

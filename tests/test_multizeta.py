@@ -294,19 +294,46 @@ def test_rectangle_stops_on_the_relative_target(monkeypatch):
     # |value| is about 3e-8, so an absolute stop at 1e-13 returned a value
     # off by 1.3e-7 relative; it must meet target * |ref| or refuse.
     # direct_series refolds these integer periods, so the rectangle is
-    # called on its own
+    # called on its own, and the refold must meet the same target
     mpmath = pytest.importorskip("mpmath")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     import references
     from azw import multizeta
-    monkeypatch.setattr(multizeta, "_SERIES_BUDGET", 50_000)
+    params = MultiZetaParams(2, 13.3, (2.0, 3.0))
     with mpmath.workdps(25):
         want = complex(references.two_period_zeta(13.3, 2, 3, 7.0))
+    got = direct_series(params, 7.0)
+    assert abs(got - want) <= DEFAULT_POLICY.target * abs(want)
+    monkeypatch.setattr(multizeta, "_SERIES_BUDGET", 50_000)
     try:
-        got, _ = multizeta._rectangular_series(
-            MultiZetaParams(2, 13.3, (2.0, 3.0)), complex(7.0), DEFAULT_POLICY)
+        got, _ = multizeta._rectangular_series(params, complex(7.0), DEFAULT_POLICY)
     except PrecisionError:
         return
+    assert abs(got - want) <= DEFAULT_POLICY.target * abs(want)
+
+
+@pytest.mark.parametrize("periods, s, route", [
+    # the rectangle's predicted 1.4e6 points against 2 * 256 refold steps
+    ((1.0, 2.0), 6.0, "_collapsed_series"),
+    # 300 refolded shifts cost 76800 steps; the rectangle clears in 1378
+    ((1.0, 300.0), 10.0, "_rectangular_series"),
+    ((7.0, 64.0), 6.0, "_rectangular_series"),
+    ((3.0, 100.0), 4.0, "_collapsed_series"),
+])
+def test_integer_periods_take_the_cheaper_route(monkeypatch, periods, s, route):
+    from azw import multizeta
+    mpmath = pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import references
+    called = []
+    for name in ("_collapsed_series", "_rectangular_series"):
+        kernel = getattr(multizeta, name)
+        monkeypatch.setattr(multizeta, name,
+                            lambda *a, _k=kernel, _n=name: called.append(_n) or _k(*a))
+    got = direct_series(MultiZetaParams(2, 1.0, periods), s)
+    assert called == [route]
+    with mpmath.workdps(25):
+        want = complex(references.two_period_zeta(1.0, *map(int, periods), s))
     assert abs(got - want) <= DEFAULT_POLICY.target * abs(want)
 
 
