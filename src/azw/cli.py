@@ -5,74 +5,84 @@ Every command writes one deterministic JSON document to stdout
 nonzero exactly when the status is not "ok"; `abszeta spectrum --csv`
 prints CSV rows instead when it succeeds. A missing or unreadable file is
 a `domain_error` document like any other failure; only usage errors exit
-2 with click's message. The first stderr line, `elapsed <ms> ms`, is the
-command's compute time; the second, `import <ms> ms`, runs from the start
-of `import azw` to the start of the command. All of this happens in one
-place, `_runner`. The AZW_PRECISION environment variable overrides the
-default PrecisionPolicy target.
+2, with argparse's message on stderr. The first stderr line,
+`elapsed <ms> ms`, is the command's compute time; the second,
+`import <ms> ms`, runs from the start of `import azw` to the start of the
+command. All of this happens in one place, `_runner`. The AZW_PRECISION
+environment variable overrides the default PrecisionPolicy target.
+
+Each command imports only the modules it runs, before its timer starts,
+so they count in the `import` line and not in `elapsed`: `graph` loads
+azw.graphs; `zeta`, `verify` and `abszeta spectrum` azw.zeta (the
+spectrum numpy as well); `abszeta Z`, `abszeta zeta` and
+`verify functional-eq` azw.abszeta.
+
+The parser accepts no abbreviated option and has `--help` but no `-h`.
+An option that takes a value takes the next token whatever it looks like,
+so `--w -1e300` and `--s -inf` are values (`_attach_values`).
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import os
 import sys
 import time
-
-import click
+from importlib import import_module
 
 from . import _IMPORT_STARTED
-from . import abszeta as az
-from . import graphs as gr
-from . import zeta as zt
 from .errors import AzwError
-from .multizeta import DEFAULT_POLICY, PrecisionPolicy
-from .polynomials import ExactRationalFunction
 
 
-def _policy() -> PrecisionPolicy:
+def _policy():
+    from .multizeta import DEFAULT_POLICY, PrecisionPolicy
+
     raw = os.environ.get("AZW_PRECISION")
     if raw is None:
         return DEFAULT_POLICY
     return PrecisionPolicy(target=float(raw))
 
 
-def _runner(body):
-    """Run a command body and report its outcome; the one place that times,
-    maps errors, prints and sets the exit code.
+def _runner(body, modules: tuple[str, ...]):
+    """The command that imports `modules`, then runs `body(args)` and
+    reports its outcome; the one place that times, maps errors, prints and
+    sets the exit code.
 
     The body returns (status, payload). A str payload is printed as it is
     (the `--csv` rendering); anything else goes out as the JSON document.
     AzwError, ArithmeticError, OSError and ValueError become a
-    `domain_error` document. Exit code 1 when the status is not "ok".
+    `domain_error` document. The command returns the exit code: 1 when
+    the status is not "ok".
     """
 
-    @functools.wraps(body)
-    def command(**kwargs) -> None:
+    def command(args: argparse.Namespace) -> int:
+        for module in modules:
+            import_module(module)
         started = time.perf_counter()
         try:
-            status, payload = body(**kwargs)
+            status, payload = body(args)
         except (AzwError, ArithmeticError, OSError, ValueError) as exc:
             status, payload = "domain_error", {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(payload, str):
-            click.echo(payload)
+            print(payload)
         else:
-            click.echo(json.dumps({"status": status, "payload": payload}, indent=2))
-        click.echo(f"elapsed {(time.perf_counter() - started) * 1000.0:.1f} ms", err=True)
-        click.echo(f"import {(started - _IMPORT_STARTED) * 1000.0:.1f} ms", err=True)
-        if status != "ok":
-            sys.exit(1)
+            print(json.dumps({"status": status, "payload": payload}, indent=2))
+        print(f"elapsed {(time.perf_counter() - started) * 1000.0:.1f} ms", file=sys.stderr)
+        print(f"import {(started - _IMPORT_STARTED) * 1000.0:.1f} ms", file=sys.stderr)
+        return 0 if status == "ok" else 1
 
     return command
 
 
-def _load_graph(path: str) -> gr.Graph:
+def _load_graph(path: str):
+    from .graphs import graph_from_json
+
     with open(path, "r", encoding="utf-8") as fh:
-        return gr.graph_from_json(fh.read())
+        return graph_from_json(fh.read())
 
 
-def _graph_summary(g: gr.Graph) -> dict:
+def _graph_summary(g) -> dict:
     return {
         "n": g.n,
         "m": g.m,
@@ -83,7 +93,7 @@ def _graph_summary(g: gr.Graph) -> dict:
     }
 
 
-def _rational_payload(f: ExactRationalFunction) -> dict:
+def _rational_payload(f) -> dict:
     return {
         "numerator": {"coeffs": [str(c) for c in f.num.coeffs]},
         "denominator": {"coeffs": [str(c) for c in f.den.coeffs]},
@@ -97,84 +107,53 @@ def _parse_exponents(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
-@click.group()
-def main() -> None:
-    """Grover-walk graph zetas, determinant identities, absolute zetas."""
-
-
 # ------------------------------------------------------------------ graph
 
-@main.group()
-def graph() -> None:
-    """Build and inspect graphs."""
-
-
-@graph.command("gen")
-@click.argument("family")
-@click.argument("params", nargs=-1, type=int)
-@click.option("--out", metavar="FILE", default=None,
-              help="Write the graph JSON to a file instead of embedding it.")
-@_runner
-def graph_gen(family: str, params: tuple[int, ...], out: str | None):
+def graph_gen(args):
     """Generate a named family member, e.g. `graph gen cycle 4`."""
-    g = gr.generate(family, *params)
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
+    from .graphs import generate
+
+    g = generate(args.family, *args.params)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(g.to_json())
     return "ok", _graph_summary(g)
 
 
-@graph.command("info")
-@click.argument("path")
-@_runner
-def graph_info(path: str):
+def graph_info(args):
     """Validate a graph file and print its summary."""
-    return "ok", _graph_summary(_load_graph(path))
+    return "ok", _graph_summary(_load_graph(args.path))
 
 
 # ------------------------------------------------------------------- zeta
 
-@main.group()
-def zeta() -> None:
-    """Exact zeta functions of a graph."""
-
-
-@zeta.command("grover")
-@click.argument("path")
-@_runner
-def zeta_grover(path: str):
+def zeta_grover(args):
     """Grover-walk zeta 1/det(I - uU) as exact coefficients."""
-    return "ok", _rational_payload(zt.grover_zeta(_load_graph(path)))
+    from .zeta import grover_zeta
+
+    return "ok", _rational_payload(grover_zeta(_load_graph(args.path)))
 
 
-@zeta.command("ihara")
-@click.argument("path")
-@click.option("--route", type=click.Choice(["edge", "bass"]), default="bass",
-              show_default=True)
-@_runner
-def zeta_ihara(path: str, route: str):
+def zeta_ihara(args):
     """Reduced-cycle zeta via the edge-matrix or Bass determinant route."""
-    f = zt.ihara_zeta(_load_graph(path), route=route)
-    return "ok", {"route": route, **_rational_payload(f)}
+    from .zeta import ihara_zeta
+
+    f = ihara_zeta(_load_graph(args.path), route=args.route)
+    return "ok", {"route": args.route, **_rational_payload(f)}
 
 
 # ----------------------------------------------------------------- verify
 
-def _file_or_corpus(fn):
-    fn = click.option("--corpus", is_flag=True, help="Run the built-in graph corpus.")(fn)
-    return click.argument("path", required=False)(fn)
-
-
-def _verify_each(path: str | None, corpus: bool, identity: str, check, residual):
+def _verify_each(args, identity: str, check, residual):
     """Run check(graph) -> report dict on FILE or on the corpus.
 
     Each report reads {graph, <report keys>, identity, residual}; a check
     that names its identity itself keeps it where it put it.
     residual(report) is the command's residual rule.
     """
-    if corpus == (path is not None):
-        raise click.UsageError("give exactly one of FILE or --corpus")
-    named = gr.builtin_corpus() if corpus else [(path, _load_graph(path))]
+    from .graphs import builtin_corpus
+
+    named = builtin_corpus() if args.corpus else [(args.path, _load_graph(args.path))]
     reports = []
     for name, g in named:
         rep = {"graph": name, **check(g)}
@@ -189,92 +168,67 @@ def _zero_if_ok(rep: dict) -> int:
     return 0 if rep["status"] == "ok" else 1
 
 
-@main.group()
-def verify() -> None:
-    """Identity verifiers; exit code 1 when any check fails."""
-
-
-@verify.command("konno-sato")
-@_file_or_corpus
-@_runner
-def verify_konno_sato_cmd(path: str | None, corpus: bool):
+def verify_konno_sato_cmd(args):
     """Exact arc-side vs vertex-side determinant identity."""
-    return _verify_each(path, corpus, "konno-sato",
-                        lambda g: zt.verify_konno_sato(g).to_dict(),
+    from .zeta import verify_konno_sato
+
+    return _verify_each(args, "konno-sato", lambda g: verify_konno_sato(g).to_dict(),
                         lambda rep: 0 if rep["status"] == "ok" else len(rep["mismatches"]))
 
 
-@verify.command("ihara-bass")
-@_file_or_corpus
-@_runner
-def verify_ihara_bass_cmd(path: str | None, corpus: bool):
+def verify_ihara_bass_cmd(args):
     """Edge-matrix route vs Bass route, plus the positive-support bridge."""
-    return _verify_each(path, corpus, "ihara-bass",
-                        lambda g: zt.verify_ihara_routes(g).to_dict(), _zero_if_ok)
+    from .zeta import verify_ihara_routes
+
+    return _verify_each(args, "ihara-bass", lambda g: verify_ihara_routes(g).to_dict(),
+                        _zero_if_ok)
 
 
-@verify.command("ihara-series")
-@_file_or_corpus
-@click.option("--r-max", type=int, default=6, show_default=True)
-@_runner
-def verify_ihara_series_cmd(path: str | None, corpus: bool, r_max: int):
+def verify_ihara_series_cmd(args):
     """Brute-force reduced-cycle counts vs the log-series coefficients."""
-    return _verify_each(path, corpus, "ihara-series",
-                        lambda g: zt.verify_ihara_series(g, r_max=r_max).to_dict(), _zero_if_ok)
+    from .zeta import verify_ihara_series
+
+    return _verify_each(args, "ihara-series",
+                        lambda g: verify_ihara_series(g, r_max=args.r_max).to_dict(), _zero_if_ok)
 
 
-@verify.command("automorphic")
-@_file_or_corpus
-@_runner
-def verify_automorphic_cmd(path: str | None, corpus: bool):
+def verify_automorphic_cmd(args):
     """Automorphy certificate (C, D) = (det U, -2m) with exact identity."""
-    return _verify_each(path, corpus, "automorphic",
+    from .zeta import automorphic_weight
+
+    return _verify_each(args, "automorphic",
                         lambda g: {"status": "ok", "identity": "automorphic",
-                                   **zt.automorphic_weight(g).to_dict()},
+                                   **automorphic_weight(g).to_dict()},
                         lambda rep: rep["max_residual"])
 
 
-@verify.command("functional-eq")
-@click.option("--n", "cycle_n", type=int, required=True)
-@click.option("--s", "s_value", type=float, required=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True)
-@_runner
-def verify_functional_eq_cmd(cycle_n: int, s_value: float, tol: float):
+def verify_functional_eq_cmd(args):
     """Cycle-graph absolute zeta functional equation at one point."""
-    rep = az.verify_functional_equation(cycle_n, s_value, tol=tol, policy=_policy())
+    from .abszeta import verify_functional_equation
+
+    rep = verify_functional_equation(args.n, args.s, tol=args.tol, policy=_policy())
     return ("ok" if rep.ok else "verification_failed"), {**rep.to_dict(), "identity": "functional-eq"}
 
 
 # ---------------------------------------------------------------- abszeta
 
-@main.group(name="abszeta")
-def abszeta_group() -> None:
-    """Absolute Hurwitz zeta and absolute zeta of cyclotomic forms."""
+def _form_from_options(args):
+    from .abszeta import CyclotomicForm
+
+    return CyclotomicForm(l=args.l, num_exponents=_parse_exponents(args.m),
+                          den_exponents=_parse_exponents(args.n))
 
 
-def _form_from_options(l: int, m: str, n: str) -> az.CyclotomicForm:
-    return az.CyclotomicForm(l=l, num_exponents=_parse_exponents(m),
-                             den_exponents=_parse_exponents(n))
-
-
-@abszeta_group.command("Z")
-@click.option("--l", "l_value", type=int, default=0, show_default=True)
-@click.option("--m", "m_value", default="", help="Comma-separated numerator exponents.")
-@click.option("--n", "n_value", required=True, help="Comma-separated denominator exponents.")
-@click.option("--w", "w_value", type=float, required=True)
-@click.option("--s", "s_value", type=float, required=True)
-@click.option("--method", type=click.Choice(["structure", "series", "mellin", "all"]),
-              default="structure", show_default=True)
-@_runner
-def abszeta_Z(l_value: int, m_value: str, n_value: str,
-              w_value: float, s_value: float, method: str):
+def abszeta_Z(args):
     """Absolute Hurwitz zeta Z_f(w, s) of the given form."""
-    form = _form_from_options(l_value, m_value, n_value)
+    from .abszeta import absolute_hurwitz_Z
+
+    form = _form_from_options(args)
     policy = _policy()
-    methods = ["structure", "series", "mellin"] if method == "all" else [method]
-    results = [az.absolute_hurwitz_Z(form, w_value, s_value, mth, policy).to_dict()
+    methods = ["structure", "series", "mellin"] if args.method == "all" else [args.method]
+    results = [absolute_hurwitz_Z(form, args.w, args.s, mth, policy).to_dict()
                for mth in methods]
-    payload = {"form": form.to_dict(), "w": w_value, "s": s_value, "results": results}
+    payload = {"form": form.to_dict(), "w": args.w, "s": args.s, "results": results}
     if len(results) > 1:
         deltas = []
         for i in range(len(results)):
@@ -289,27 +243,21 @@ def abszeta_Z(l_value: int, m_value: str, n_value: str,
     return "ok", payload
 
 
-@abszeta_group.command("zeta")
-@click.option("--l", "l_value", type=int, default=0, show_default=True)
-@click.option("--m", "m_value", default="")
-@click.option("--n", "n_value", required=True)
-@click.option("--s", "s_value", type=float, required=True)
-@_runner
-def abszeta_zeta(l_value: int, m_value: str, n_value: str, s_value: float):
+def abszeta_zeta(args):
     """Absolute zeta zeta_f(s) as the product of multiple gammas."""
-    form = _form_from_options(l_value, m_value, n_value)
-    result = az.absolute_zeta(form, s_value, _policy())
-    return "ok", {"form": form.to_dict(), "s": s_value, **result.to_dict()}
+    from .abszeta import absolute_zeta
+
+    form = _form_from_options(args)
+    result = absolute_zeta(form, args.s, _policy())
+    return "ok", {"form": form.to_dict(), "s": args.s, **result.to_dict()}
 
 
-@abszeta_group.command("spectrum")
-@click.argument("path")
-@click.option("--csv", "as_csv", is_flag=True, help="Emit CSV rows instead of JSON.")
-@_runner
-def abszeta_spectrum(path: str, as_csv: bool):
+def abszeta_spectrum(args):
     """Grover spectrum of a graph, cross-checked against the mapped route."""
-    direct, mapped = zt.matched_spectra(_load_graph(path))
-    if as_csv:
+    from .zeta import matched_spectra
+
+    direct, mapped = matched_spectra(_load_graph(args.path))
+    if args.csv:
         rows = ["re,im,multiplicity"]
         rows += [f"{value.real:.12g},{value.imag:.12g},{mult}" for value, mult in direct.entries]
         return "ok", "\n".join(rows)
@@ -319,5 +267,125 @@ def abszeta_spectrum(path: str, as_csv: bool):
     return "ok", payload
 
 
+# ----------------------------------------------------------------- parser
+
+class _Parser(argparse.ArgumentParser):
+    """One level of the command tree: no abbreviated options, `--help`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+
+def _group(levels, name: str, doc: str):
+    return levels.add_parser(name, help=doc, description=doc).add_subparsers(
+        metavar="COMMAND", required=True)
+
+
+def _command(commands, name: str, body, *modules: str) -> argparse.ArgumentParser:
+    """The subcommand `name`: `body` under `_runner`, after importing
+    `modules`. The body's docstring is its help."""
+    parser = commands.add_parser(name, help=body.__doc__, description=body.__doc__)
+    parser.set_defaults(run=_runner(body, modules))
+    return parser
+
+
+def _path(parser) -> argparse.ArgumentParser:
+    parser.add_argument("path", metavar="PATH")
+    return parser
+
+
+def _file_or_corpus(parser) -> argparse.ArgumentParser:
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("path", nargs="?", metavar="FILE")
+    which.add_argument("--corpus", action="store_true", help="Run the built-in graph corpus.")
+    return parser
+
+
+def _form_options(parser) -> argparse.ArgumentParser:
+    parser.add_argument("--l", type=int, default=0, help="(default: %(default)s)")
+    parser.add_argument("--m", default="", help="Comma-separated numerator exponents.")
+    parser.add_argument("--n", required=True, help="Comma-separated denominator exponents.")
+    return parser
+
+
+def _parser() -> argparse.ArgumentParser:
+    root = _Parser(prog="azw",
+                   description="Grover-walk graph zetas, determinant identities, absolute zetas.")
+    groups = root.add_subparsers(metavar="COMMAND", required=True)
+
+    graph = _group(groups, "graph", "Build and inspect graphs.")
+    gen = _command(graph, "gen", graph_gen, "azw.graphs")
+    gen.add_argument("family", metavar="FAMILY")
+    gen.add_argument("params", metavar="PARAMS", nargs="*", type=int)
+    gen.add_argument("--out", metavar="FILE",
+                     help="Write the graph JSON to a file instead of embedding it.")
+    _path(_command(graph, "info", graph_info, "azw.graphs"))
+
+    zeta = _group(groups, "zeta", "Exact zeta functions of a graph.")
+    _path(_command(zeta, "grover", zeta_grover, "azw.zeta"))
+    _path(_command(zeta, "ihara", zeta_ihara, "azw.zeta")).add_argument(
+        "--route", choices=("edge", "bass"), default="bass", help="(default: %(default)s)")
+
+    verify = _group(groups, "verify", "Identity verifiers; exit code 1 when any check fails.")
+    _file_or_corpus(_command(verify, "konno-sato", verify_konno_sato_cmd, "azw.zeta"))
+    _file_or_corpus(_command(verify, "ihara-bass", verify_ihara_bass_cmd, "azw.zeta"))
+    _file_or_corpus(_command(verify, "ihara-series", verify_ihara_series_cmd, "azw.zeta")).add_argument(
+        "--r-max", type=int, default=6, help="(default: %(default)s)")
+    _file_or_corpus(_command(verify, "automorphic", verify_automorphic_cmd, "azw.zeta"))
+    fe = _command(verify, "functional-eq", verify_functional_eq_cmd, "azw.abszeta")
+    fe.add_argument("--n", type=int, required=True)
+    fe.add_argument("--s", type=float, required=True)
+    fe.add_argument("--tol", type=float, default=1e-6, help="(default: %(default)s)")
+
+    abszeta = _group(groups, "abszeta", "Absolute Hurwitz zeta and absolute zeta of cyclotomic forms.")
+    z = _form_options(_command(abszeta, "Z", abszeta_Z, "azw.abszeta"))
+    z.add_argument("--w", type=float, required=True)
+    z.add_argument("--s", type=float, required=True)
+    z.add_argument("--method", choices=("structure", "series", "mellin", "all"),
+                   default="structure", help="(default: %(default)s)")
+    _form_options(_command(abszeta, "zeta", abszeta_zeta, "azw.abszeta")).add_argument(
+        "--s", type=float, required=True)
+    _path(_command(abszeta, "spectrum", abszeta_spectrum, "azw.zeta", "numpy")).add_argument(
+        "--csv", action="store_true", help="Emit CSV rows instead of JSON.")
+    return root
+
+
+def _levels(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """(path, parser) for `parser` and every command level below it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _levels(sub, (*path, name))
+
+
+def _attach_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with `--opt value` joined into `--opt=value` for every option
+    that takes a value. argparse alone reads a value such as -1e300 or
+    -inf as an unknown option; joined, it is the option's value. Nothing
+    after `--` changes."""
+    takes_value = {opt for _, level in _levels(parser) for action in level._actions
+                   if action.nargs != 0 for opt in action.option_strings}
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            return [*out, token, *tokens]
+        if token in takes_value:
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        out.append(token)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; a usage error exits 2."""
+    parser = _parser()
+    args = parser.parse_args(_attach_values(parser, sys.argv[1:] if argv is None else list(argv)))
+    return args.run(args)
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
