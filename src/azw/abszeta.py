@@ -43,6 +43,7 @@ from .multizeta import (
     _collapsed_series,
     _equal_period_sum,
     _fold_counts,
+    _real_on_real_axis,
     log_gamma,
     multiple_sine,
 )
@@ -470,7 +471,8 @@ def absolute_zeta(form: CyclotomicForm, s,
     refolded numerator, of log Gamma_b(s - l/2 + bN - k; N, ..., N), so
     gammas that overflow double precision still give a finite quotient.
     Each log gamma is good to about target * |log Gamma| absolute, so err
-    is 10 * target * sum |c_k| (1 + |log Gamma_k|) * |value|.
+    is 10 * target * sum |c_k| (1 + |log Gamma_k|) * |value|. For a real s
+    every Gamma_b argument is real, and so is the value returned.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -480,7 +482,7 @@ def absolute_zeta(form: CyclotomicForm, s,
         log_value, size = _equal_period_sum(form.b, float(period), terms, 0j, True, policy)
     except NonPositiveShiftError as exc:
         raise DomainError(f"gamma argument on the nonpositive lattice: {exc}") from exc
-    value = _checked_exp(log_value, f"zeta_f at s={s}")
+    value = _real_on_real_axis(_checked_exp(log_value, f"zeta_f at s={s}"), s)
     err = 10 * policy.target * (sum(abs(c) for c, _ in terms) + size) * abs(value)
     return AbsZetaValue(value=value, method="structure", error=err)
 

@@ -493,6 +493,23 @@ def test_absolute_zeta_is_gamma2():
     assert got.value == want
 
 
+def test_absolute_zeta_is_real_for_real_s():
+    # zeta_f(s) is a product of Gamma_b at real arguments. The log of a
+    # negative Gamma_b has imaginary part pi, which exp turns into a sign
+    # and a rounding-size imaginary part; that part must not reach the caller
+    cases = [(CyclotomicForm(0, (), (2, 2)), -7.2), (CyclotomicForm(2, (1,), (2, 3)), -3.3),
+             (cycle_zeta_form(3), 0.7), (CyclotomicForm(0, (2, 2), (2, 2, 2)), 23.0)]
+    for form, s in cases:
+        assert absolute_zeta(form, s).value.imag == 0.0, (form, s)
+    # the real part keeps its sign (negative here)
+    assert absolute_zeta(CyclotomicForm(0, (), (2, 2)), -7.2).value.real < 0.0
+    # a complex s keeps its imaginary part
+    assert absolute_zeta(CyclotomicForm(0, (), (2, 2)), -7.2 + 1j).value.imag != 0.0
+    # the residual at (3, 0.7) was the imaginary part of the lhs alone
+    rep = verify_functional_equation(3, 0.7)
+    assert rep.lhs.imag == 0.0 and rep.residual <= 1e-15
+
+
 def test_absolute_zeta_divides_huge_gammas_one_at_a_time():
     # (x^2 - 1)^2 / (x^2 - 1)^3 refolds to x^4 - 2 x^2 + 1 over (x^2 - 1)^3;
     # Gamma_3 at the shift of the -2 monomial is about e^400, so its square
