@@ -16,8 +16,9 @@ plain attribute read. What a first access loads:
 * `azw.polynomials` names: graphs, matrices and polynomials;
 * `azw.zeta` names: those three and zeta;
 * `azw.multizeta` names: multizeta alone;
-* `azw.abszeta` names: multizeta, graphs, matrices, polynomials and
-  abszeta, never zeta.
+* `azw.abszeta` names: multizeta and abszeta; `factor_cyclotomic`,
+  `automorphic_data` and `CyclotomicForm.as_rational_function` add
+  polynomials (with matrices and graphs) on their first call, never zeta.
 
 The submodule names in `__all__` resolve the same way. numpy is imported
 on first use (the float spectra of `azw.zeta`), never by an import.

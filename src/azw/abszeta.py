@@ -11,6 +11,10 @@ expanded numerator. The absolute Hurwitz transform Z_f(w, s) then unfolds
 into the c_k-weighted sum of equal-period multiple Hurwitz zetas at the
 shifts s - l/2 + bN - k, one per monomial, and log zeta_f(s) into the
 matching c_k-weighted sum of log multiple gammas.
+
+Z_f and zeta_f run on multizeta alone. The exact polynomial layer (and
+with it matrices and graphs) is imported by the three helpers that build
+polynomials, on the first factoring or automorphy check.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .multizeta import (
     log_gamma,
     multiple_sine,
 )
-from .polynomials import ExactPolynomial, ExactRationalFunction
 
 _METHODS = ("structure", "series", "mellin")
 # x range and finest step 2^-level of the exp-sinh Mellin rule: x = -9
@@ -101,6 +104,8 @@ class CyclotomicForm:
         return self.l + self.abs_m - self.abs_n
 
     def as_rational_function(self) -> ExactRationalFunction:
+        from .polynomials import ExactPolynomial, ExactRationalFunction
+
         num = ExactPolynomial.one()
         den = ExactPolynomial.one()
         for e in self.num_exponents:
@@ -132,6 +137,8 @@ class AbsZetaValue:
 
 
 def _x_pow_minus_one(e: int) -> ExactPolynomial:
+    from .polynomials import ExactPolynomial
+
     return ExactPolynomial.from_coeffs([-1] + [0] * (e - 1) + [1])
 
 
@@ -147,6 +154,8 @@ def _cyclotomic_poly(d: int) -> ExactPolynomial:
 
 
 def _strip_monomial(p: ExactPolynomial) -> tuple[int, ExactPolynomial]:
+    from .polynomials import ExactPolynomial
+
     k = 0
     while k <= p.degree and p.coeff(k) == 0:
         k += 1

@@ -15,7 +15,7 @@ Each command imports only the modules it runs, before its timer starts,
 so they count in the `import` line and not in `elapsed`: `graph` loads
 azw.graphs; `zeta`, `verify` and `abszeta spectrum` azw.zeta (the
 spectrum numpy as well); `abszeta Z`, `abszeta zeta` and
-`verify functional-eq` azw.abszeta.
+`verify functional-eq` azw.abszeta, which runs without the exact layer.
 
 The parser accepts no abbreviated option and has `--help` but no `-h`.
 An option that takes a value takes the next token whatever it looks like,
@@ -330,15 +330,16 @@ def _parser() -> argparse.ArgumentParser:
     verify = _group(groups, "verify", "Identity verifiers; exit code 1 when any check fails.")
     _file_or_corpus(_command(verify, "konno-sato", verify_konno_sato_cmd, "azw.zeta"))
     _file_or_corpus(_command(verify, "ihara-bass", verify_ihara_bass_cmd, "azw.zeta"))
-    _file_or_corpus(_command(verify, "ihara-series", verify_ihara_series_cmd, "azw.zeta")).add_argument(
-        "--r-max", type=int, default=6, help="(default: %(default)s)")
+    series = _file_or_corpus(_command(verify, "ihara-series", verify_ihara_series_cmd, "azw.zeta"))
+    series.add_argument("--r-max", type=int, default=6, help="(default: %(default)s)")
     _file_or_corpus(_command(verify, "automorphic", verify_automorphic_cmd, "azw.zeta"))
     fe = _command(verify, "functional-eq", verify_functional_eq_cmd, "azw.abszeta")
     fe.add_argument("--n", type=int, required=True)
     fe.add_argument("--s", type=float, required=True)
     fe.add_argument("--tol", type=float, default=1e-6, help="(default: %(default)s)")
 
-    abszeta = _group(groups, "abszeta", "Absolute Hurwitz zeta and absolute zeta of cyclotomic forms.")
+    abszeta = _group(groups, "abszeta",
+                     "Absolute Hurwitz zeta and absolute zeta of cyclotomic forms.")
     z = _form_options(_command(abszeta, "Z", abszeta_Z, "azw.abszeta"))
     z.add_argument("--w", type=float, required=True)
     z.add_argument("--s", type=float, required=True)

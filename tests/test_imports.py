@@ -174,7 +174,7 @@ RUN_CLI = textwrap.dedent("""
 
 GRAPHS = ["azw", "azw.errors", "azw.graphs"]
 ZETA = sorted([*GRAPHS, "azw.matrices", "azw.polynomials", "azw.zeta"])
-ABSZETA = sorted([*GRAPHS, "azw.matrices", "azw.polynomials", "azw.multizeta", "azw.abszeta"])
+ABSZETA = ["azw", "azw.abszeta", "azw.errors", "azw.multizeta"]  # no exact layer
 
 
 COMMANDS = [
@@ -193,7 +193,8 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv, modules", COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
+@pytest.mark.parametrize("argv, modules", COMMANDS,
+                         ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
     c4 = tmp_path / "c4.json"
     c4.write_text(azw.generate("cycle", 4).to_json())
