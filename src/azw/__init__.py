@@ -69,16 +69,13 @@ __all__ = sorted((*_HOME, *_SUBMODULES))
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        home, attr = name, None
-    elif name in _HOME:
-        home, attr = _HOME[name], name
-    else:
+    home = name if name in _SUBMODULES else _HOME.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
     module = import_module(f"{__name__}.{home}")
-    value = module if attr is None else getattr(module, attr)
+    value = module if home == name else getattr(module, name)
     globals()[name] = value
     return value
 
