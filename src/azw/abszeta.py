@@ -41,6 +41,7 @@ from .errors import (
 )
 from .multizeta import (
     DEFAULT_POLICY,
+    _REFOLD_BUDGET,
     MultiZetaParams,
     PrecisionPolicy,
     _checked_exp,
@@ -59,9 +60,6 @@ _METHODS = ("structure", "series", "mellin")
 _DE_X_RANGE = (-9, 4)
 _DE_MAX_LEVEL = 7
 _LOG2 = math.log(2.0)
-# highest degree of a refolded numerator: each monomial costs the lattice
-# methods one multiple zeta or gamma, about 0.1 ms
-_REFOLD_BUDGET = 100_000
 
 
 @dataclass(frozen=True)

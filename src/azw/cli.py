@@ -384,7 +384,14 @@ def _attach_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; a usage error exits 2."""
     parser = _parser()
-    args = parser.parse_args(_attach_values(parser, sys.argv[1:] if argv is None else list(argv)))
+    argv = _attach_values(parser, sys.argv[1:] if argv is None else list(argv))
+    if argv[:2] == ["graph", "gen"]:
+        # a parser with subcommands fills FAMILY and PARAMS only from the
+        # positionals before the first option; gen's own parser reads its
+        # tokens intermixed, so `gen cycle --out F 4` is `gen cycle 4 --out F`
+        args = dict(_levels(parser))[("graph", "gen")].parse_intermixed_args(argv[2:])
+    else:
+        args = parser.parse_args(argv)
     return args.run(args)
 
 

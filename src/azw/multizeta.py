@@ -3,10 +3,14 @@
 One precision-controlled kernel carries everything: an Euler-Maclaurin
 Hurwitz zeta with an analytic s-derivative (no finite differences in any
 shipped path), whose finite part at the s = 1 pole is minus digamma.
-Multiple Hurwitz zetas with equal periods reduce to linear combinations of
-that kernel at shifted arguments, summed by one routine over weighted
-shifts; multiple gammas and sines are one exponential of such a sum of
-s-derivatives at 0.
+Every multiple Hurwitz zeta takes one route: integer periods refold onto
+one period N = lcm (`_refolded_lattice`; equal periods need no refold),
+and an equal-period lattice reduces to linear combinations of that kernel
+at shifted arguments, summed by one routine over weighted shifts. Values,
+s-derivatives and finite parts are such sums; multiple gammas and sines
+(Kurokawa-Koyama, unequal periods included) are one exponential of a sum
+of s-derivatives at 0. Other periods are refused, except by the direct
+series in its convergent domain.
 
 Shift arguments may be negative (non-lattice): powers of negative reals
 use the principal branch throughout, which keeps every identity in the
@@ -36,15 +40,16 @@ _TWO_PI = 2.0 * math.pi
 # Euler-Maclaurin shift count N and highest Bernoulli index of the first
 # rung of the escalation ladder, the most lattice points any one sum may
 # take (ladder, collapsed series or rectangle), and the lattice steps the
-# collapsed series takes before its first stopping test.
+# collapsed series takes before its first stopping test. `direct_series`
+# gives a refold to the rectangle when that first block over every
+# refolded shift alone would pass the budget.
 _EM_SHIFT = 24
 _BERNOULLI_ORDER = 12
 _SERIES_BUDGET = 2_000_000
 _SERIES_BLOCK = 256
-# A rectangle point costs about two steps of the collapsed series over one
-# shift (1.3-1.6 us against 0.7 us in CPython 3.11), which `direct_series`
-# weighs when it picks a route for unequal integer periods.
-_RECTANGLE_POINT_COST = 2
+# highest degree of a refolded numerator, here and in `abszeta`: each
+# monomial costs a lattice sum one multiple zeta or gamma, about 0.1 ms
+_REFOLD_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -284,58 +289,62 @@ def _equal_period_sum(order: int, period: float, terms: list[tuple[int, complex]
     return total, size
 
 
+def _refolded(params: MultiZetaParams) -> tuple[float, list[tuple[int, complex]]]:
+    """`_refolded_lattice(params)`, the one route of every multiple zeta
+    function; UnsupportedContinuationError when there is none."""
+    refolded = _refolded_lattice(params)
+    if refolded is None:
+        raise UnsupportedContinuationError(
+            f"periods {params.periods} do not refold onto one period: they are not "
+            f"integers, or the refolded degree passes the budget of {_REFOLD_BUDGET}")
+    return refolded
+
+
 def multiple_hurwitz_zeta(params: MultiZetaParams, s,
                           policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Lattice sum over r nonnegative indices of (n . omega + x)^(-s).
 
-    Equal periods evaluate through the analytically continued reduction to
-    Hurwitz zetas at shifted arguments (s anywhere off the poles 1..r);
-    unequal periods fall back to the direct series and therefore require
-    Re(s) > r.
+    Equal and integer periods evaluate through the refold onto one period
+    and the analytically continued reduction to Hurwitz zetas at shifted
+    arguments (s anywhere off the poles 1..r). Other periods are summed
+    directly, which needs Re(s) > r.
     """
     s = complex(s)
     _check_poles(params.order, s)
-    if params.equal_periods:
-        return _equal_period_sum(params.order, params.periods[0], [(1, params.shift)],
-                                 s, False, policy)[0]
-    if s.real <= params.order:
-        raise UnsupportedContinuationError(
-            "unequal periods are only summable directly, which needs Re(s) > order")
-    return direct_series(params, s, policy)
+    if s.real > params.order and _refolded_lattice(params) is None:
+        return direct_series(params, s, policy)
+    return _equal_period_sum(params.order, *_refolded(params), s, False, policy)[0]
 
 
 def multiple_hurwitz_zeta_ds(params: MultiZetaParams, s,
                              policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """Analytic s-derivative of the equal-period multiple Hurwitz zeta."""
+    """Analytic s-derivative of the multiple Hurwitz zeta of equal or
+    integer periods."""
     s = complex(s)
     _check_poles(params.order, s)
-    if not params.equal_periods:
-        raise UnsupportedContinuationError("s-derivative is only shipped for equal periods")
-    return _equal_period_sum(params.order, params.periods[0], [(1, params.shift)],
-                             s, True, policy)[0]
+    return _equal_period_sum(params.order, *_refolded(params), s, True, policy)[0]
 
 
 def multiple_hurwitz_zeta_finite_part(params: MultiZetaParams, pole: int,
                                       policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """Finite Laurent coefficient of the equal-period multiple zeta at a pole.
+    """Finite Laurent coefficient of the multiple zeta of equal or integer
+    periods at a pole.
 
-    At s = pole the singular reduction term is c_{pole-1}(y) zeta(1+eps, y),
-    and the kernel evaluates zeta(1, y) as its finite part -psi(y), so the
-    reduction at s = pole is already the finite part of the sum. Expanding
-    the N^(-s) prefactor against the 1/eps pole adds
-    -N^(-pole) c_{pole-1}(y) log N.
+    At s = pole the singular reduction term of each refolded shift y is
+    c_{pole-1}(y) zeta(1+eps, y), and the kernel evaluates zeta(1, y) as
+    its finite part -psi(y), so the reduction at s = pole is already the
+    finite part of the sum. Expanding the N^(-s) prefactor against the
+    1/eps pole adds -N^(-pole) log N times the weighted c_{pole-1}(y).
 
     In a sum of terms whose residues cancel, these corrections cancel too,
     so `_equal_period_sum` at the pole needs none.
     """
-    if not params.equal_periods:
-        raise UnsupportedContinuationError("finite parts are only shipped for equal periods")
     if not (1 <= pole <= params.order):
         raise InvalidParameterError(f"s = {pole} is not a pole of order {params.order}")
-    period = params.periods[0]
-    residue = _multiplicity_coeffs(params.order, complex(params.shift) / period)[pole - 1]
-    value, _ = _equal_period_sum(params.order, period, [(1, params.shift)],
-                                 complex(pole), False, policy)
+    period, terms = _refolded(params)
+    residue = sum(c * _multiplicity_coeffs(params.order, x / period)[pole - 1]
+                  for c, x in terms)
+    value, _ = _equal_period_sum(params.order, period, terms, complex(pole), False, policy)
     return value - period ** float(-pole) * residue * math.log(period)
 
 
@@ -369,23 +378,24 @@ def multiple_gamma(params: MultiZetaParams,
 def multiple_sine(params: MultiZetaParams,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Reflection product Gamma_r(x)^(-1) * Gamma_r(|omega| - x)^((-1)^r) of
-    equal periods, as one exp of the log-gamma sum, so gammas that overflow
-    double precision still give a finite sine; real for a real shift."""
-    if not params.equal_periods:
-        raise UnsupportedContinuationError("multiple sines are only shipped for equal periods")
-    shift = complex(params.shift)
-    terms = [(-1, shift), ((-1) ** params.order, sum(params.periods) - shift)]
-    log_value, _ = _equal_period_sum(params.order, params.periods[0], terms, 0j, True, policy)
+    equal or integer periods, as one exp of the log-gamma sum over both
+    refolds, so gammas that overflow double precision still give a finite
+    sine; real for a real shift."""
+    period, terms = _refolded(params)
+    reflected = MultiZetaParams(params.order, sum(params.periods) - complex(params.shift),
+                                params.periods)
+    sign = (-1) ** params.order
+    terms = [(-c, x) for c, x in terms] + [(sign * c, x) for c, x in _refolded(reflected)[1]]
+    log_value, _ = _equal_period_sum(params.order, period, terms, 0j, True, policy)
     value = _checked_exp(log_value, f"S_{params.order} at shift {params.shift}")
     return _real_on_real_axis(value, params.shift)
 
 
 # ---------------------------------------------------------------------------
-# Direct lattice series (convergent domain only). The equal-period case
-# collapses to one index with a polynomial multiplicity and gets a
-# closed-form integral-corrected tail. Unequal integer periods refold onto
-# one period first unless the rectangle is predicted cheaper; other
-# unequal periods truncate a rectangle and certify the remainder with
+# Direct lattice series (convergent domain only). Equal and integer
+# periods refold onto one period, whose lattice collapses to one index
+# with a polynomial multiplicity and gets a closed-form integral-corrected
+# tail. Other periods truncate a rectangle and certify the remainder with
 # nested integral comparisons.
 
 def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]],
@@ -528,32 +538,6 @@ def _rectangle_tail_bound(params: MultiZetaParams, sigma: float, cuts: list[int]
     return bound
 
 
-def _rectangle_cost(params: MultiZetaParams, s: complex, policy: PrecisionPolicy) -> float:
-    """Lattice points `_rectangular_series` sums before its tail bound
-    drops below the target times |x^(-s)|, its first term; inf when it
-    would pass the series budget first or a bound overflows.
-
-    For real s and a real shift every term is positive, so the partial sum
-    is at least that first term and the rectangle stops no later than
-    this count says.
-    """
-    log_first = (-s * cmath.log(complex(params.shift))).real
-    cuts = [16] * params.order
-    total = 0
-    try:
-        while True:
-            points = math.prod(c + 1 for c in cuts)
-            if points > _SERIES_BUDGET:
-                return math.inf
-            total += points
-            bound = _rectangle_tail_bound(params, s.real, cuts)
-            if bound == 0.0 or math.log(bound) <= math.log(policy.target) + log_first:
-                return total
-            cuts = [2 * c for c in cuts]
-    except OverflowError:
-        return math.inf
-
-
 def _rectangular_series(params: MultiZetaParams, s: complex,
                         policy: PrecisionPolicy) -> tuple[complex, float]:
     """Truncated rectangle plus a certified tail bound (any periods).
@@ -594,12 +578,16 @@ def _fold_counts(coeffs: list[int], period: int, periods) -> list[int]:
     """The ascending integer coefficients of coeffs(x) times the product
     over w in periods of 1 + x^w + ... + x^(period - w); every w divides
     period. This is how a lattice of periods w is refolded onto the one
-    period N: an index n of period w is q N/w + t with t < N/w."""
+    period N: an index n of period w is q N/w + t with t < N/w. Each
+    factor is (1 - x^N)/(1 - x^w), so it costs one pass: multiply by
+    1 - x^N, then divide by 1 - x^w as a running sum of stride w."""
     for w in periods:
-        out = [0] * (len(coeffs) + period - w)
-        for k in range(0, period, w):
-            for j, c in enumerate(coeffs):
-                out[j + k] += c
+        out = coeffs + [0] * (period - w)
+        for j in range(len(out)):
+            if j >= period:
+                out[j] -= coeffs[j - period]
+            if j >= w:
+                out[j] += out[j - w]
         coeffs = out
     return coeffs
 
@@ -607,12 +595,13 @@ def _fold_counts(coeffs: list[int], period: int, periods) -> list[int]:
 def _refolded_lattice(params: MultiZetaParams) -> tuple[float, list[tuple[int, complex]]] | None:
     """The period N and the (c, y) terms with the lattice sum over the
     periods equal to sum c zeta_r(s, y; N, ..., N), or None when the
-    periods are not integers or _SERIES_BLOCK steps over every tuple of
-    refolded shifts would pass the series budget.
+    periods are not integers or the refolded degree passes the refold
+    budget.
 
     Equal periods are the one term (1, x). Integer periods refold to
     N = lcm, as `abszeta` refolds a form: a period w contributes the
-    shifts x + t w for t < N/w, and c counts the tuples that reach x + k.
+    shifts x + t w for t < N/w, and c counts the tuples that reach x + k;
+    the refolded degree is the sum of N - w.
     """
     x = complex(params.shift)
     if params.equal_periods:
@@ -621,8 +610,7 @@ def _refolded_lattice(params: MultiZetaParams) -> tuple[float, list[tuple[int, c
         return None
     ints = [int(w) for w in params.periods]
     period = math.lcm(*ints)
-    if (period > sys.float_info.max
-            or _SERIES_BLOCK * math.prod(period // w for w in ints) > _SERIES_BUDGET):
+    if sum(period - w for w in ints) > _REFOLD_BUDGET:
         return None
     counts = _fold_counts([1], period, ints)
     return float(period), [(c, x + k) for k, c in enumerate(counts) if c]
@@ -632,25 +620,17 @@ def direct_series(params: MultiZetaParams, s,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Direct lattice summation, convergent domain Re(s) > order only.
 
-    Serves as the independent cross-check of the equal-period reduction
-    and as the shipped path for unequal periods. With Re(shift) > 0, equal
-    periods are summed as a one-period series (`_collapsed_series`).
-    Unequal integer periods take that series over their refold
-    (`_refolded_lattice`) unless the rectangle is cheaper: the series
-    steps at least _SERIES_BLOCK times over every refolded shift, against
-    the points `_rectangle_cost` predicts for the rectangle, each worth
-    _RECTANGLE_POINT_COST steps. Other periods truncate a rectangle.
+    Serves as the independent cross-check of the analytic reduction. With
+    Re(shift) > 0, equal and integer periods are summed as a one-period
+    series (`_collapsed_series`) over their refold (`_refolded_lattice`),
+    unless its first _SERIES_BLOCK steps over every refolded shift would
+    pass the series budget. Other periods, and such refolds, truncate a
+    rectangle.
     """
     s = complex(s)
     if s.real <= params.order:
         raise UnsupportedContinuationError("direct series needs Re(s) > order")
     refolded = _refolded_lattice(params) if complex(params.shift).real > 0 else None
-    if refolded is not None and not params.equal_periods:
-        rectangle = _RECTANGLE_POINT_COST * _rectangle_cost(params, s, policy)
-        if rectangle < _SERIES_BLOCK * len(refolded[1]):
-            refolded = None
-    if refolded is None:
-        value, _ = _rectangular_series(params, s, policy)
-    else:
-        value, _ = _collapsed_series(params.order, *refolded, s, policy)
-    return value
+    if refolded is None or _SERIES_BLOCK * len(refolded[1]) > _SERIES_BUDGET:
+        return _rectangular_series(params, s, policy)[0]
+    return _collapsed_series(params.order, *refolded, s, policy)[0]

@@ -39,6 +39,24 @@ def connected_graphs(draw, max_n: int = 7):
     return build_graph(n, sorted(edges))
 
 
+def two_period_zeta(mp, x, p: int, q: int, w, derivative: int = 0):
+    """sum over j, k >= 0 of (x + p j + q k)^(-w) for coprime p, q, or its
+    w-derivative: n = p j + q k has r(pq t + rho) = t + r(rho)
+    representations, so the lattice splits into pq one-index sums of
+    (t + r(rho)) (x + rho + pq t)^(-w), each two mpmath Hurwitz zetas."""
+    L = p * q
+    total = 0
+    for rho in range(L):
+        r_rho = sum(1 for k in range(rho // q + 1) if (rho - q * k) % p == 0)
+        y = (x + rho) / L
+        value = mp.zeta(w - 1, y) + (r_rho - y) * mp.zeta(w, y)
+        if derivative:
+            value = (mp.zeta(w - 1, y, 1) + (r_rho - y) * mp.zeta(w, y, 1)
+                     - mp.log(L) * value)
+        total += L ** (-w) * value
+    return total
+
+
 def word_prime_count(modulus: int) -> int:
     """k when modulus is _prime(0) * _prime(1) * ... * _prime(k - 1), the
     kind of modulus the exact kernels run on; 0 for any other modulus."""

@@ -42,6 +42,7 @@ from azw.errors import (
     QuadratureBudgetError,
     SingularPointError,
 )
+from conftest import two_period_zeta
 
 P = ExactPolynomial.from_coeffs
 QUICK = PrecisionPolicy(target=1e-10)
@@ -366,24 +367,6 @@ def test_lattice_methods_need_a_denominator():
         absolute_zeta(form, 1.0, QUICK)
 
 
-def _two_period_zeta(mp, x, p: int, q: int, w, derivative: int = 0):
-    """sum over j, k >= 0 of (x + p j + q k)^(-w) for coprime p, q, or its
-    w-derivative: n = p j + q k has r(pq t + rho) = t + r(rho)
-    representations, so the lattice splits into pq one-index sums of
-    (t + r(rho)) (x + rho + pq t)^(-w), each two mpmath Hurwitz zetas."""
-    L = p * q
-    total = 0
-    for rho in range(L):
-        r_rho = sum(1 for k in range(rho // q + 1) if (rho - q * k) % p == 0)
-        y = (x + rho) / L
-        value = mp.zeta(w - 1, y) + (r_rho - y) * mp.zeta(w, y)
-        if derivative:
-            value = (mp.zeta(w - 1, y, 1) + (r_rho - y) * mp.zeta(w, y, 1)
-                     - mp.log(L) * value)
-        total += L ** (-w) * value
-    return total
-
-
 def _subset_reference(mp, l: int, num: tuple, den: tuple, w, s, derivative: int = 0):
     """Z_f (or its w-derivative) from prod(x^m - 1) = sum over subsets I of
     (-1)^(a - |I|) x^(m(I)): the signed sum of two-period lattice zetas at
@@ -393,7 +376,7 @@ def _subset_reference(mp, l: int, num: tuple, den: tuple, w, s, derivative: int 
         picked = [e for i, e in enumerate(num) if mask >> i & 1]
         sign = -1 if (len(num) - len(picked)) % 2 else 1
         shift = mp.mpf(s) - mp.mpf(l) / 2 + sum(den) - sum(picked)
-        total += sign * _two_period_zeta(mp, shift, den[0], den[1], mp.mpf(w), derivative)
+        total += sign * two_period_zeta(mp, shift, den[0], den[1], mp.mpf(w), derivative)
     return total
 
 

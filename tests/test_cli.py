@@ -83,6 +83,16 @@ def test_graph_gen_writes_file(tmp_path):
     assert json.loads(out.read_text())["n"] == 10
 
 
+def test_graph_gen_reads_its_arguments_in_any_order(tmp_path):
+    out = str(tmp_path / "c4.json")
+    results = [invoke(["graph", "gen", *argv]) for argv in (
+        ["cycle", "4", "--out", out], ["cycle", "--out", out, "4"], ["--out", out, "cycle", "4"])]
+    assert [r.exit_code for r in results] == [0, 0, 0]
+    assert results[0].stdout == results[1].stdout == results[2].stdout
+    assert _payload(results[0])[1]["n"] == 4
+    assert json.loads(Path(out).read_text())["n"] == 4
+
+
 def test_graph_info(cycle4_file):
     result = invoke(["graph", "info", cycle4_file])
     assert result.exit_code == 0

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -34,8 +35,11 @@ from azw.multizeta import (
     digamma,
     multiple_hurwitz_zeta_finite_part,
 )
+from conftest import two_period_zeta
 
 EULER_GAMMA = 0.5772156649015329
+# coprime pairs, so `references.two_period_zeta` covers them
+UNEQUAL_INTEGER_PERIODS = ((1, 2), (2, 3), (3, 4))
 
 
 def test_policy_validation():
@@ -225,11 +229,18 @@ def test_multiple_zeta_poles():
 
 
 def test_unequal_periods_need_large_s():
-    params = MultiZetaParams(2, 1.0, (1.0, 2.0))
+    # periods that do not refold onto one period are only summed directly,
+    # which needs Re(s) > r; integer periods refold and continue past it
+    params = MultiZetaParams(2, 1.0, (1.0, 2.5))
     with pytest.raises(UnsupportedContinuationError):
         multiple_hurwitz_zeta(params, 1.5)
     with pytest.raises(UnsupportedContinuationError):
         multiple_hurwitz_zeta_ds(params, 0.0)
+    assert cmath.isfinite(multiple_hurwitz_zeta(params, 10.0))
+    for periods in ((1.0, 2.0), (2.0, 3.0), (3.0, 4.0)):
+        params = MultiZetaParams(2, 1.0, periods)
+        assert cmath.isfinite(multiple_hurwitz_zeta(params, 1.5))
+        assert cmath.isfinite(multiple_hurwitz_zeta_ds(params, 0.0))
 
 
 def test_unequal_periods_direct_value():
@@ -312,29 +323,45 @@ def test_rectangle_stops_on_the_relative_target(monkeypatch):
     assert abs(got - want) <= DEFAULT_POLICY.target * abs(want)
 
 
-@pytest.mark.parametrize("periods, s, route", [
-    # the rectangle's predicted 1.4e6 points against 2 * 256 refold steps
-    ((1.0, 2.0), 6.0, "_collapsed_series"),
-    # 300 refolded shifts cost 76800 steps; the rectangle clears in 1378
-    ((1.0, 300.0), 10.0, "_rectangular_series"),
-    ((7.0, 64.0), 6.0, "_rectangular_series"),
-    ((3.0, 100.0), 4.0, "_collapsed_series"),
-])
-def test_integer_periods_take_the_cheaper_route(monkeypatch, periods, s, route):
+def _route_of_direct_series(monkeypatch, periods, s) -> tuple[list[str], complex]:
+    """The kernels `direct_series` calls at shift 1, and its value."""
     from azw import multizeta
-    mpmath = pytest.importorskip("mpmath")
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    import references
     called = []
     for name in ("_collapsed_series", "_rectangular_series"):
         kernel = getattr(multizeta, name)
         monkeypatch.setattr(multizeta, name,
                             lambda *a, _k=kernel, _n=name: called.append(_n) or _k(*a))
-    got = direct_series(MultiZetaParams(2, 1.0, periods), s)
-    assert called == [route]
+    return called, direct_series(MultiZetaParams(2, 1.0, periods), s)
+
+
+@pytest.mark.parametrize("periods, s", [
+    ((1.0, 2.0), 6.0),
+    ((1.0, 300.0), 10.0),
+    ((7.0, 64.0), 6.0),
+    ((3.0, 100.0), 4.0),
+])
+def test_integer_periods_take_the_refold(monkeypatch, periods, s):
+    # integer periods within the refold budget always sum the one-period
+    # series over the refold, whatever a rectangle would cost
+    mpmath = pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import references
+    called, got = _route_of_direct_series(monkeypatch, periods, s)
+    assert called == ["_collapsed_series"]
     with mpmath.workdps(25):
         want = complex(references.two_period_zeta(1.0, *map(int, periods), s))
     assert abs(got - want) <= DEFAULT_POLICY.target * abs(want)
+
+
+def test_refold_past_the_series_budget_takes_the_rectangle(monkeypatch):
+    # 256 steps over each of the 300 refolded shifts pass a budget of
+    # 50000 before the first stopping test; the rectangle clears in 1378
+    from azw import multizeta
+    monkeypatch.setattr(multizeta, "_SERIES_BUDGET", 50_000)
+    called, got = _route_of_direct_series(monkeypatch, (1.0, 300.0), 10.0)
+    assert called == ["_rectangular_series"]
+    assert abs(got - multiple_hurwitz_zeta(MultiZetaParams(2, 1.0, (1.0, 300.0)), 10.0)) \
+        <= 1e-12 * abs(got)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 5])
@@ -382,9 +409,18 @@ def test_gamma_order2_at_one():
     assert abs(got - 0.847536694177301) < 1e-8
 
 
-def test_gamma_requires_equal_periods():
-    with pytest.raises(UnsupportedContinuationError):
-        multiple_gamma(MultiZetaParams(2, 1.0, (1.0, 2.0)))
+def test_gamma_requires_integer_periods():
+    # non-integer unequal periods have no refold; neither has a common
+    # period whose refolded degree 2 * 988027 - 1988 passes the budget
+    for periods in ((1.0, 2.5), (997.0, 991.0)):
+        params = MultiZetaParams(2, 1.0, periods)
+        for call in (lambda: multiple_gamma(params), lambda: multiple_sine(params),
+                     lambda: multiple_hurwitz_zeta_ds(params, 0.0),
+                     lambda: multiple_hurwitz_zeta_finite_part(params, 1)):
+            with pytest.raises(UnsupportedContinuationError):
+                call()
+    # integer ones refold: Gamma_2(1; 1, 2) is exp of a finite real
+    assert multiple_gamma(MultiZetaParams(2, 1.0, (1.0, 2.0))).imag == 0.0
 
 
 def test_gamma_rejects_lattice_shift():
@@ -457,27 +493,80 @@ def test_finite_part_matches_symmetric_limit():
     assert abs(fp2 - avg2) < 1e-8
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_finite_part_against_mpmath(order):
+@pytest.mark.parametrize("case", [1, 2, 3, *(pytest.param(pq, id="%d,%d" % pq)
+                                               for pq in UNEQUAL_INTEGER_PERIODS)])
+def test_finite_part_against_mpmath(case):
     # the even part of the Laurent expansion at pole +- eps, in 40 digits
-    # from mpmath's Hurwitz zeta; the eps^2 term is far below double
+    # from mpmath's Hurwitz zeta; the eps^2 term is far below double. An
+    # int case is an order with equal random periods, a pair two unequal
+    # integer periods (poles 1 and 2)
     mpmath = pytest.importorskip("mpmath")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     import references
 
-    rng = random.Random(order)
-    for _ in range(8):
+    rng = random.Random(case if isinstance(case, int) else str(case))
+    for _ in range(8 if isinstance(case, int) else 4):
         shift = complex(rng.uniform(0.1, 5.0), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
-        period = rng.uniform(0.5, 3.0)
-        params = MultiZetaParams(order, shift, (period,) * order)
-        for pole in range(1, order + 1):
+        if isinstance(case, int):
+            period = rng.uniform(0.5, 3.0)
+            params = MultiZetaParams(case, shift, (period,) * case)
+            reference = partial(references.equal_period_zeta, case, shift, period)
+        else:
+            params = MultiZetaParams(2, shift, tuple(map(float, case)))
+            reference = partial(references.two_period_zeta, shift, *case)
+        for pole in range(1, params.order + 1):
             with mpmath.workdps(40):
                 eps = mpmath.mpf("1e-15")
-                want = complex((references.equal_period_zeta(order, shift, period, pole + eps)
-                                + references.equal_period_zeta(order, shift, period, pole - eps))
-                               / 2)
+                want = complex((reference(pole + eps) + reference(pole - eps)) / 2)
             got = multiple_hurwitz_zeta_finite_part(params, pole)
             assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (params, pole, got, want)
+
+
+def _bench_tolerance(ref) -> float:
+    return 100 * DEFAULT_POLICY.target * max(abs(ref), 1.0)
+
+
+# Points with Re(s - j) in [-8, -2] for j < r are left out of the
+# unequal-period tests below: the double Hurwitz kernel loses digits
+# there to cancellation, for any periods (ROADMAP item 1).
+@pytest.mark.parametrize("p, q", UNEQUAL_INTEGER_PERIODS)
+def test_unequal_integer_periods_against_the_lattice(p, q):
+    # the refold onto lcm(p, q) and its analytic reduction, on both sides
+    # of the convergence edge s = 2, against the two-period lattice sum
+    # written out with mpmath's Hurwitz zeta
+    mpmath = pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import references
+
+    for x in (0.7, 1.3, 2.5):
+        params = MultiZetaParams(2, x, (float(p), float(q)))
+        for s in (1.5, 0.5, -0.5):
+            with mpmath.workdps(25):
+                want = complex(references.two_period_zeta(x, p, q, s))
+            got = multiple_hurwitz_zeta(params, s)
+            assert abs(got - want) <= _bench_tolerance(want), (params, s, got, want)
+
+
+@pytest.mark.parametrize("p, q", UNEQUAL_INTEGER_PERIODS)
+def test_unequal_integer_gamma_and_sine_against_the_lattice(p, q):
+    # zeta_2'(0, x; p, q) from the analytic s-derivative of the lattice
+    # reference (mpmath's zeta(s, a, 1), not mpmath's numerical `diff`,
+    # which is about 1e-11 off on (3, 4) at x = 2.5, at 25 and at 40
+    # digits); Gamma_2 is its exp
+    # and S_2(x) = Gamma_2(p + q - x) / Gamma_2(x)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        def log_gamma2(x):
+            return two_period_zeta(mp, mp.mpf(x), p, q, mp.mpf(0), derivative=1)
+
+        for x in (0.7, 1.3, 2.5):
+            params = MultiZetaParams(2, x, (float(p), float(q)))
+            ds = complex(log_gamma2(x))
+            gamma = complex(mp.exp(log_gamma2(x)))
+            sine = complex(mp.exp(log_gamma2(p + q - x) - log_gamma2(x)))
+            for got, want in ((multiple_hurwitz_zeta_ds(params, 0.0), ds),
+                              (multiple_gamma(params), gamma), (multiple_sine(params), sine)):
+                assert abs(got - want) <= _bench_tolerance(want), (params, got, want)
 
 
 def test_hurwitz_refuses_a_value_lost_to_underflow():
