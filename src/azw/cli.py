@@ -19,7 +19,8 @@ spectrum numpy as well); `abszeta Z`, `abszeta zeta` and
 
 The parser accepts no abbreviated option and has `--help` but no `-h`.
 An option that takes a value takes the next token whatever it looks like,
-so `--w -1e300` and `--s -inf` are values (`_attach_values`).
+so `--w -1e300` and `--s -inf` are values (`_attach_values`). `graph gen`
+reads FAMILY, PARAMS and `--out` in any order.
 """
 
 from __future__ import annotations
