@@ -12,19 +12,22 @@ into the c_k-weighted sum of equal-period multiple Hurwitz zetas at the
 shifts s - l/2 + bN - k, one per monomial, and log zeta_f(s) into the
 matching c_k-weighted sum of log multiple gammas.
 
+factor_cyclotomic goes the other way: it reads a form's exponents off
+the coefficients of x f'/f, which one integer recurrence gives.
+
 Z_f and zeta_f run on multizeta alone. The exact polynomial layer (and
-with it matrices and graphs) is imported by the three helpers that build
+with it matrices and graphs) is imported by the two helpers that build
 polynomials, on the first factoring or automorphy check.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -71,10 +74,12 @@ class CyclotomicForm:
     den_exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.l) is not int:  # bool is an int subclass
+            raise InvalidParameterError(f"monomial power l must be an int, got {self.l!r}")
         if self.l % 2 != 0:
             raise OddPowerError(f"monomial power l = {self.l} must be even")
         for e in self.num_exponents + self.den_exponents:
-            if not isinstance(e, int) or e < 1:
+            if type(e) is not int or e < 1:
                 raise InvalidParameterError(f"exponents must be positive integers, got {e!r}")
 
     @property
@@ -140,106 +145,61 @@ def _x_pow_minus_one(e: int) -> ExactPolynomial:
     return ExactPolynomial.from_coeffs([-1] + [0] * (e - 1) + [1])
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_poly(d: int) -> ExactPolynomial:
-    # Phi_d = (x^d - 1) / prod of Phi_e over proper divisors e of d.
-    poly = _x_pow_minus_one(d)
-    for e in range(1, d):
-        if d % e == 0:
-            poly, rem = poly.divmod(_cyclotomic_poly(e))
-            assert rem.is_zero
-    return poly
-
-
-def _strip_monomial(p: ExactPolynomial) -> tuple[int, ExactPolynomial]:
-    from .polynomials import ExactPolynomial
-
-    k = 0
-    while k <= p.degree and p.coeff(k) == 0:
-        k += 1
-    return k, ExactPolynomial(p.coeffs[k:])
-
-
-def _totient(d: int) -> int:
-    result = d
-    rest = d
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
-
-
-def _cyclotomic_exponents(p: ExactPolynomial) -> tuple[dict[int, int], Fraction]:
-    """Split p into prod Phi_d^e(d) times a constant, or raise.
-
-    Phi_d has degree totient(d), so candidate indices run past the degree
-    of p; totient(d) > sqrt(d) for d > 6 bounds the scan at degree^2.
-    """
-    exps: dict[int, int] = {}
-    limit = max(6, p.degree * p.degree)
-    for d in range(1, limit + 1):
-        if p.degree == 0:
-            break
-        if _totient(d) > p.degree:
-            continue
-        phi = _cyclotomic_poly(d)
-        while p.degree >= phi.degree:
-            q, rem = p.divmod(phi)
-            if not rem.is_zero:
-                break
-            exps[d] = exps.get(d, 0) + 1
-            p = q
-    if p.degree != 0:
-        raise NotCyclotomicError(
-            f"non-cyclotomic factor of degree {p.degree} remains")
-    return exps, p.coeff(0)
-
-
 def factor_cyclotomic(f: ExactRationalFunction) -> CyclotomicForm:
     """Express a rational function in the cyclotomic family, or raise.
 
-    The numerator and denominator are split into cyclotomic polynomials;
-    the exponent pattern is then refolded into (x^N - 1) factors, always
-    preferring the largest N (divisor-lattice triangular solve). Reduced
-    inputs work: 1/(x+1) comes back as (x-1)/(x^2-1). Fails when a
-    non-cyclotomic factor or a residual constant other than 1 remains
-    (the family has no slot for an overall -1).
+    f = c x^k prod(x^n - 1)^e(n) has L_N = [x^N] x f'/f equal to
+    -sum over n | N of n e(n), so N e(N) = -L_N - sum over the smaller
+    divisors. Each side p, x^k stripped, gives its log-derivative a by
+    a p = x p' in ints: that divides only by p(0), +-1 on a cyclotomic
+    product. Refuses a non-integral L_N or e(N); |e(N)| > D = deg num +
+    deg den, which no form reaches; a scan end T = D + sum n |e(n)| over
+    the refold budget; and a constant c != 1, naming the form. Past T, f
+    over the product is c. A reduced input comes back as its form:
+    1/(x+1) is (x-1)/(x^2-1).
     """
     if f.num.is_zero:
         raise NotCyclotomicError("zero function is not in the family")
-    p_num, num = _strip_monomial(f.num)
-    p_den, den = _strip_monomial(f.den)
-    num_exps, num_const = _cyclotomic_exponents(num)
-    den_exps, den_const = _cyclotomic_exponents(den)
+    # each side is x^k times the nonzero ints {i: c} of its integer form
+    shifts, sides = [], []
+    for side in (f.num, f.den):
+        ints = side.integer_form[1]
+        shifts.append(next(i for i, c in enumerate(ints) if c))
+        sides.append(({i - shifts[-1]: c for i, c in enumerate(ints) if c}, [0]))
+    bound = max(sides[0][0]) + max(sides[1][0])
+    exps, reach, n = {}, bound, 1
+    while n <= reach:
+        if reach > _REFOLD_BUDGET:
+            raise NotCyclotomicError(f"the log-derivative scan would run to x^{reach}, "
+                                     f"over the refold budget of {_REFOLD_BUDGET}")
+        for p, a in sides:
+            acc = n * p.get(n, 0) - sum(c * a[n - i] for i, c in p.items() if 0 < i <= n)
+            if acc % p[0]:
+                raise NotCyclotomicError(f"non-cyclotomic factor: x f'/f is not integral at x^{n}")
+            a.append(acc // p[0])
+        (_, a), (_, b) = sides
+        e, r = divmod(b[n] - a[n] - sum(d * k for d, k in exps.items() if n % d == 0), n)
+        if r or abs(e) > bound:
+            raise NotCyclotomicError(
+                f"non-cyclotomic factor: no exponent of x^{n} - 1 within {bound} fits")
+        if e:
+            exps[n] = e
+            reach += n * abs(e)
+        n += 1
 
-    top = max([1, *num_exps, *den_exps])
-    net = {d: num_exps.get(d, 0) - den_exps.get(d, 0) for d in range(1, top + 1)}
-    fold: dict[int, int] = {}
-    for d in range(top, 0, -1):
-        fold[d] = net[d] - sum(fold[k] for k in range(d + 1, top + 1) if k % d == 0)
-    m_list = []
-    n_list = []
-    for d in sorted(fold, reverse=True):
-        if fold[d] > 0:
-            m_list.extend([d] * fold[d])
-        elif fold[d] < 0:
-            n_list.extend([d] * (-fold[d]))
-    if num_const != den_const:
+    periods = sorted(exps, reverse=True)
+    form = CyclotomicForm(2 * (shifts[0] - shifts[1]),
+                          tuple(d for d in periods for _ in range(exps[d])),
+                          tuple(d for d in periods for _ in range(-exps[d])))
+    sign = (-1) ** (sum(exps.values()) % 2)
+    residual = sign * f.num.coeffs[shifts[0]] / f.den.coeffs[shifts[1]]
+    if residual != 1:
         raise NotCyclotomicError(
-            f"residual constant {num_const}/{den_const} is not 1; "
-            "the family cannot absorb a sign or scale")
-
-    form = CyclotomicForm(l=2 * (p_num - p_den),
-                          num_exponents=tuple(m_list),
-                          den_exponents=tuple(n_list))
+            f"residual constant {residual} is not 1; the family cannot absorb a sign or "
+            f"scale: f is {residual} times the form {json.dumps(form.to_dict())}")
     if form.as_rational_function() != f:
-        raise NotCyclotomicError("internal refold failed to reproduce the function")
+        raise NotCyclotomicError(
+            f"the form {json.dumps(form.to_dict())} does not reproduce the function")
     return form
 
 

@@ -51,6 +51,12 @@ QUICK = PrecisionPolicy(target=1e-10)
 def test_form_validation():
     with pytest.raises(OddPowerError):
         CyclotomicForm(l=1, num_exponents=(), den_exponents=(2,))
+    # values the form cannot compute with are refused up front, not left
+    # to fail later in as_rational_function or print as JSON booleans
+    for bad in (dict(l=2.0), dict(l=True), dict(l=False), dict(l="0"),
+                dict(den_exponents=(True, 2)), dict(num_exponents=(2.0,))):
+        with pytest.raises(InvalidParameterError):
+            CyclotomicForm(**{"l": 0, "num_exponents": (), "den_exponents": (2, 2), **bad})
     with pytest.raises(InvalidParameterError):
         CyclotomicForm(l=0, num_exponents=(0,), den_exponents=(2,))
     form = CyclotomicForm(l=-2, num_exponents=(2,), den_exponents=(3, 3))
@@ -89,10 +95,10 @@ def test_factor_monomial_prefactor():
     assert form.as_rational_function() == f
 
 
-# outcome of running exact division on every corpus Grover zeta, recorded
-# as a fixture: cycles factor, everything else stays outside the family
-# (sign obstructions for the odd-b candidates, genuinely non-cyclotomic
-# spectra for the complete graphs and petersen)
+# outcome of factoring every corpus Grover zeta, recorded as a fixture:
+# cycles factor, everything else stays outside the family (an overall
+# sign for the odd-b candidates, genuinely non-cyclotomic spectra for the
+# complete graphs and petersen)
 CORPUS_FACTOR_OUTCOMES = {
     "K2": "sign",
     "C3": (0, (), (3, 3)),
@@ -122,6 +128,95 @@ def test_corpus_factorization_outcomes(corpus):
                 assert "constant" in str(err.value), name
             else:
                 assert "non-cyclotomic factor" in str(err.value), name
+
+
+def test_sign_refusal_names_the_form(corpus):
+    with pytest.raises(NotCyclotomicError, match="constant") as err:
+        factor_cyclotomic(grover_zeta(generate("complete_bipartite", 2, 3)))
+    assert '{"l": 0, "m": [], "n": [4, 4, 4]}' in str(err.value)
+    with pytest.raises(NotCyclotomicError, match="constant") as err:
+        factor_cyclotomic(grover_zeta(corpus["K2"]))
+    assert "-1 times the form" in str(err.value)
+
+
+def _random_form(rng: random.Random) -> CyclotomicForm:
+    return CyclotomicForm(2 * rng.randint(-3, 3),
+                          tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 3))),
+                          tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 3))))
+
+
+def test_factor_round_trip_on_random_forms():
+    # the factored form can differ from the one drawn (common exponents
+    # cancel, x^n - 1 in both sides refolds), but never the function
+    rng = random.Random(17)
+    for _ in range(100):
+        f = _random_form(rng).as_rational_function()
+        form = factor_cyclotomic(f)
+        assert form.as_rational_function() == f
+        assert factor_cyclotomic(form.as_rational_function()) == form
+
+
+def _mobius(k: int) -> int:
+    result, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if k > 1 else result
+
+
+def test_cyclotomic_polynomials_factor_by_mobius():
+    # Phi_d by division, x^d - 1 over Phi_e for the proper divisors e: an
+    # oracle that shares nothing with the log-derivative scan
+    phi = {}
+    for d in range(1, 61):
+        poly = P([-1] + [0] * (d - 1) + [1])
+        for e in range(1, d):
+            if d % e == 0:
+                poly, rem = poly.divmod(phi[e])
+                assert rem.is_zero
+        phi[d] = poly
+        up = tuple(n for n in range(d, 0, -1) if d % n == 0 and _mobius(d // n) == 1)
+        down = tuple(n for n in range(d, 0, -1) if d % n == 0 and _mobius(d // n) == -1)
+        f = ExactRationalFunction.from_polynomial(poly)
+        assert factor_cyclotomic(f) == CyclotomicForm(0, up, down), d
+        inverse = ExactRationalFunction.from_parts(P([1]), poly)
+        assert factor_cyclotomic(inverse) == CyclotomicForm(0, down, up), d
+
+
+@pytest.mark.parametrize("form", [cycle_zeta_form(5), CyclotomicForm(2, (3,), (2, 6)),
+                                  CyclotomicForm(-4, (1, 1), ())])
+@pytest.mark.parametrize("c", [-1, 2])
+def test_scaled_forms_refuse_with_their_constant(form, c):
+    with pytest.raises(NotCyclotomicError, match="constant"):
+        factor_cyclotomic(form.as_rational_function().scale(c))
+
+
+@pytest.mark.parametrize("n", [48, 60])
+def test_large_cycles_factor(n):
+    form = factor_cyclotomic(grover_zeta(generate("cycle", n)))
+    assert form == CyclotomicForm(0, (), (n, n))
+
+
+def test_perturbed_form_refuses_within_the_exponent_bound():
+    # without the |e(N)| <= deg num + deg den bound, the exponents read off
+    # this input grow and carry the scan's reach past the refold budget
+    f = CyclotomicForm(-4, (9, 4), (8, 2, 7)).as_rational_function()
+    f = ExactRationalFunction.from_parts(f.num + ExactPolynomial.monomial(2), f.den)
+    with pytest.raises(NotCyclotomicError, match="non-cyclotomic factor"):
+        factor_cyclotomic(f)
+
+
+@pytest.mark.parametrize("period", [60_000, 40_000])
+def test_factor_refuses_a_scan_over_the_refold_budget(period):
+    # (x^N - 1)^2 has degree 2N: N = 60000 passes the budget at once,
+    # N = 40000 when e(N) = -2 doubles the reach at x^40000
+    den = P([1] + [0] * (period - 1) + [-2] + [0] * (period - 1) + [1])
+    with pytest.raises(NotCyclotomicError, match="refold budget of 100000"):
+        factor_cyclotomic(ExactRationalFunction.from_parts(P([1]), den))
 
 
 def test_automorphic_data_cycle_forms():
