@@ -1,6 +1,8 @@
 """Absolute zeta layer: cyclotomic forms, the structure-theorem evaluator,
-its two independent oracles (direct series, Mellin quadrature), and the
-functional-equation verifier for cycle-graph zetas.
+its two oracles, and the functional-equation verifier for cycle-graph
+zetas. The direct series sums the lattice itself but closes its tail with
+the Hurwitz kernel's own tail routine; Mellin quadrature integrates f and
+shares no code with the kernel.
 
 A cyclotomic form represents f(x) = x^(l/2) * prod(x^m(i) - 1) / prod(x^n(j) - 1).
 Such f is reciprocally automorphic with sign (-1)^(a-b) and weight
@@ -78,6 +80,15 @@ class CyclotomicForm:
             raise InvalidParameterError(f"monomial power l must be an int, got {self.l!r}")
         if self.l % 2 != 0:
             raise OddPowerError(f"monomial power l = {self.l} must be even")
+        # any iterable of exponents is stored as a tuple, so equal forms
+        # compare and hash equal
+        for name in ("num_exponents", "den_exponents"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise InvalidParameterError(
+                    f"{name} must be an iterable of exponents, got {getattr(self, name)!r}"
+                ) from None
         for e in self.num_exponents + self.den_exponents:
             if type(e) is not int or e < 1:
                 raise InvalidParameterError(f"exponents must be positive integers, got {e!r}")

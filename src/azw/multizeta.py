@@ -3,6 +3,7 @@
 One precision-controlled kernel carries everything: an Euler-Maclaurin
 Hurwitz zeta with an analytic s-derivative (no finite differences in any
 shipped path), whose finite part at the s = 1 pole is minus digamma.
+Its one tail routine (`_em_tail`) also closes the direct lattice series.
 Every multiple Hurwitz zeta takes one route: integer periods refold onto
 one period N = lcm (`_refolded_lattice`; equal periods need no refold),
 and an equal-period lattice reduces to linear combinations of that kernel
@@ -107,21 +108,69 @@ _BERNOULLI = _bernoulli_numbers(30)
 _HURWITZ_TAIL = tuple(float(_BERNOULLI[2 * j]) / math.factorial(2 * j) for j in range(1, 16))
 
 
+def _em_tail(acc: complex, s: complex, b: complex, order: int, deriv: bool = False,
+             weight: complex | None = None) -> tuple[complex, complex, float]:
+    """acc plus weight times the Euler-Maclaurin tail of sum_{k>=0}
+    (b+k)^(-s), or of its s-derivative: integral b^(1-s)/(s-1) (its finite
+    part -log(b) at s = 1, where the derivative is not taken), half term
+    and Bernoulli corrections up to the order. Also returns the last
+    weighted correction and the rounding size of the integral, the largest
+    piece: |integral| (2 + |exponent|), as exp(x) is off by about
+    eps (1 + |x|) relative, and each addition by eps times the addend.
+    """
+    lg_b = cmath.log(b)
+    exponent = (1 - s) * lg_b
+    half = cmath.exp(-s * lg_b)
+    if deriv:
+        integral = cmath.exp(exponent) * (-lg_b / (s - 1) - 1 / (s - 1) ** 2)
+        half = -lg_b * half / 2
+    else:
+        integral = -lg_b if s == 1 else cmath.exp(exponent) / (s - 1)
+        half = half / 2
+    if weight is not None:
+        integral *= weight
+        half *= weight
+    acc += integral
+    acc += half
+    size = abs(integral) * (2.0 + abs(exponent))
+
+    # B_2j/(2j)! s(s+1)...(s+2j-2) b^(-s-2j+1): the product and its
+    # derivative are tracked together so a zero factor (s = -i) never
+    # needs a division.
+    coeffs = _HURWITZ_TAIL if weight is None else [c * weight for c in _HURWITZ_TAIL[:order // 2]]
+    prod = 1 + 0j
+    dprod = 0j
+    term = 0j
+    for j in range(1, order // 2 + 1):
+        lo = 0 if j == 1 else 2 * j - 3
+        for i in range(lo, 2 * j - 1):
+            dprod = dprod * (s + i) + prod
+            prod = prod * (s + i)
+        coeff = coeffs[j - 1]
+        power = cmath.exp((-s - 2 * j + 1) * lg_b)
+        if deriv:
+            term = coeff * power * (dprod - lg_b * prod)
+        else:
+            term = coeff * prod * power
+        acc += term
+    return acc, term, size
+
+
 def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> complex:
     """Euler-Maclaurin evaluation of the Hurwitz zeta or its s-derivative.
 
     The shift is moved into Re(a) >= 1 first, summing the terms it passes
-    over with principal-branch powers. Then N terms are summed and the tail
-    is closed with Bernoulli indices up to an order; each rung of the ladder
-    doubles N (and raises the order to 30) up to 8 N0, until the last tail
-    term clears the target. At s = 1 the tail integral big^(1-s)/(s-1)
-    keeps only its finite part -log(big), so the value is the finite
-    Laurent coefficient of the pole, -psi(a); the derivative is not taken
-    there. A ladder whose largest rung would sum more than the series
-    budget is refused before any work, so a huge |s| or shift cannot hang
-    the caller; a term that overflows double precision raises DomainError,
-    and a value that falls below the smallest normal double because
-    big^(-s) underflowed raises PrecisionError.
+    over with principal-branch powers. Then N terms are summed and
+    `_em_tail` closes the tail with Bernoulli indices up to an order; each
+    rung of the ladder doubles N (and raises the order to 30) up to 8 N0,
+    until the last tail term clears the target. At s = 1 the tail keeps
+    only the finite part of its integral, so the value is the finite
+    Laurent coefficient of the pole, -psi(a). A ladder whose largest rung
+    would sum more than the series budget is refused before any work, so
+    a huge |s| or shift cannot hang the caller; a term that overflows
+    double precision raises DomainError, and a value that falls below the
+    smallest normal double because big^(-s) underflowed raises
+    PrecisionError.
     """
     a = complex(a)
     if a.imag == 0.0 and a.real <= 0 and float(a.real).is_integer():
@@ -160,35 +209,11 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> comple
                 term = cmath.exp(-s * lg)
                 acc += (-lg * term) if deriv else term
             big = pulled + shift_count
-            lg_big = cmath.log(big)
-            half = cmath.exp(-s * lg_big)
-            if deriv:
-                acc += cmath.exp((1 - s) * lg_big) * (-lg_big / (s - 1) - 1 / (s - 1) ** 2)
-                acc += -lg_big * half / 2
-            else:
-                acc += -lg_big if s == 1 else cmath.exp((1 - s) * lg_big) / (s - 1)
-                acc += half / 2
-
-            # Bernoulli tail: B_{2j}/(2j)! * prod_{i=0..2j-2}(s+i) * big^(-s-2j+1).
-            # The product and its derivative are tracked together so a zero
-            # factor (s = -i) never needs a division.
-            prod = 1 + 0j
-            dprod = 0j
-            for j in range(1, bern_order // 2 + 1):
-                lo = 0 if j == 1 else 2 * j - 3
-                for i in range(lo, 2 * j - 1):
-                    dprod = dprod * (s + i) + prod
-                    prod = prod * (s + i)
-                coeff = _HURWITZ_TAIL[j - 1]
-                power = cmath.exp((-s - 2 * j + 1) * lg_big)
-                if deriv:
-                    term = coeff * power * (dprod - lg_big * prod)
-                else:
-                    term = coeff * prod * power
-                acc += term
+            acc, term, _ = _em_tail(acc, s, big, bern_order, deriv)
             result = acc + prefix
             if abs(term) <= policy.target * max(abs(result), 1.0):
-                if abs(result) < sys.float_info.min and abs(half) < sys.float_info.min:
+                if (abs(result) < sys.float_info.min
+                        and abs(cmath.exp(-s * cmath.log(big))) < sys.float_info.min):
                     raise PrecisionError(
                         f"Euler-Maclaurin value {abs(result):.3e} underflows double "
                         f"precision at s={s}, a={a}")
@@ -311,9 +336,10 @@ def multiple_hurwitz_zeta(params: MultiZetaParams, s,
     """
     s = complex(s)
     _check_poles(params.order, s)
-    if s.real > params.order and _refolded_lattice(params) is None:
+    refolded = _refolded_lattice(params)
+    if refolded is None and s.real > params.order:
         return direct_series(params, s, policy)
-    return _equal_period_sum(params.order, *_refolded(params), s, False, policy)[0]
+    return _equal_period_sum(params.order, *(refolded or _refolded(params)), s, False, policy)[0]
 
 
 def multiple_hurwitz_zeta_ds(params: MultiZetaParams, s,
@@ -394,9 +420,9 @@ def multiple_sine(params: MultiZetaParams,
 # ---------------------------------------------------------------------------
 # Direct lattice series (convergent domain only). Equal and integer
 # periods refold onto one period, whose lattice collapses to one index
-# with a polynomial multiplicity and gets a closed-form integral-corrected
-# tail. Other periods truncate a rectangle and certify the remainder with
-# nested integral comparisons.
+# with a polynomial multiplicity and gets the kernel's tail. Other
+# periods truncate a rectangle and certify the remainder with nested
+# integral comparisons.
 
 def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]],
                       s: complex, policy: PrecisionPolicy) -> tuple[complex, float]:
@@ -404,27 +430,21 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
     equal-period lattice series sum_k binom(k+order-1, order-1)
     (x + k period)^(-s); returns (value, err).
 
-    Every Re(x) must be positive. The tail is handled Euler-Maclaurin
-    style, closed-form integral + g/2 - g'/12, so the summation stops once
-    |g'(k)|/12 clears the target; err is that term plus the target times
-    the partial sum plus eps times the rounding size of the powers and tail
-    pieces, which near the edge of convergence far exceeds their sum.
-    Raises PrecisionError when the series budget runs out first or when
-    every power in the first lattice term underflows double precision, and
-    DomainError when a term overflows double precision.
+    Every Re(x) must be positive. With y = x/period the multiplicity is
+    sum_e c_e(y) (k + y)^e, so past step k the tail is `_em_tail` at
+    Bernoulli order 2 (integral + g/2 - g'/12) for each shift and power e:
+    weight c c_e(y) period^(-s), s - e, b = y + k. At s = e + 1 the
+    log(period) terms it drops cancel across shifts wherever the series
+    converges. The summation stops once |g'(k)|/12 clears the target; err
+    is that term plus the target times the partial sum plus eps times the
+    rounding size of the powers and tail integrals, which near the edge of
+    convergence far exceeds their sum. Raises PrecisionError when the
+    series budget runs out first or when every power in the first lattice
+    term underflows double precision, and DomainError when a term
+    overflows double precision.
     """
-    mult_poly = _multiplicity_coeffs(order, 0.0)
-    mult_deriv = [j * c for j, c in enumerate(mult_poly)][1:] or [0.0]
-
-    def _poly(coeffs, t: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
     def term(k: int) -> tuple[complex, float]:
-        # the summand and its rounding size: exp(x) is off by about
-        # eps (1 + |x|) relative, and each addition by eps times the addend
+        # the summand and its rounding size, counted as `_em_tail` does
         inner = 0j
         size = 0.0
         for c, shift in terms:
@@ -434,16 +454,6 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
             size += abs(p) * (2.0 + abs(x))
         mult = math.comb(k + order - 1, order - 1)
         return mult * inner, mult * size
-
-    def term_prime(k: float) -> complex:
-        mult = _poly(mult_poly, k)
-        dmult = _poly(mult_deriv, k)
-        out = 0j
-        for c, shift in terms:
-            base = shift + k * period
-            p = cmath.exp(-s * cmath.log(base))
-            out += c * (dmult * p - s * period * mult * p / base)
-        return out
 
     total = 0j
     size = 0.0
@@ -457,59 +467,39 @@ def _collapsed_series(order: int, period: float, terms: list[tuple[int, complex]
             raise PrecisionError(
                 f"first lattice term underflows double precision at s={s}, "
                 f"shifts {', '.join(str(x) for _, x in terms)}")
+        scale_n = cmath.exp(-s * math.log(period))
+        weighted = []
+        for c, x in terms:
+            y = x / period
+            weighted.append((y, [c * c_e * scale_n for c_e in _multiplicity_coeffs(order, y)]))
         while True:
             for _ in range(block):
                 value, value_size = term(k)
                 total += value
                 size += value_size
                 k += 1
+            tail = 0j
+            last = 0j
+            tail_size = 0.0
+            for y, weights in weighted:
+                for e, weight in enumerate(weights):
+                    tail, correction, piece_size = _em_tail(tail, s - e, y + k, 2, weight=weight)
+                    last += correction
+                    tail_size += piece_size
             scale = max(abs(total), 1e-30)
-            residual = abs(term_prime(k)) / 12.0
-            if residual <= policy.target * scale:
+            if abs(last) <= policy.target * scale:
                 break
             if k >= _SERIES_BUDGET:
                 raise PrecisionError(f"series budget exhausted at k = {k}")
             block = min(block * 2, 8192, _SERIES_BUDGET - k)
-        tail, tail_size = _combined_tail_integral(order, terms, period, float(k), s)
         total += tail
-        total += term(k)[0] / 2.0 - term_prime(k) / 12.0
         rounding = sys.float_info.epsilon * (size + tail_size)
-        return total, abs(term_prime(k)) / 12.0 + policy.target * scale + rounding
+        return total, abs(last) + policy.target * scale + rounding
     except OverflowError as exc:
         shifts = ", ".join(str(x) for _, x in terms)
         raise DomainError(
             f"lattice series terms overflow double precision at s={s}, "
             f"shifts {shifts}") from exc
-
-
-def _combined_tail_integral(order: int, terms: list[tuple[int, complex]],
-                            period: float, start: float, s: complex) -> tuple[complex, float]:
-    """Sum over (c, x) terms of c times the closed-form series tail
-    integral, and its rounding size as `_collapsed_series` counts it.
-
-    With v = x + t*period, mult(t) = sum_e C_e(x) v^e with C_e(x) =
-    c_e(x/period) / period^e, so each integral of mult(t) v^(-s) splits into
-    pieces C_e(x) v(start)^(e+1-s) / (s-e-1). At integer s = e+1 the
-    individual pieces diverge but their weighted coefficient sum vanishes
-    (same cancellation as the structure method of the absolute zeta),
-    leaving the l'Hopital limit -sum c C_e(x) log(v(start)).
-    """
-    n = period
-    total = 0j
-    size = 0.0
-    for c, x in terms:
-        v_start = x + start * n
-        log_v = cmath.log(v_start)
-        for e, c_e in enumerate(_multiplicity_coeffs(order, x / n)):
-            c_e /= n ** e
-            exponent = (e + 1 - s) * log_v
-            if s.imag == 0.0 and s.real == e + 1:
-                piece = c * c_e * (-log_v) / n
-            else:
-                piece = c * c_e * cmath.exp(exponent) / ((s - e - 1) * n)
-            total += piece
-            size += abs(piece) * (2.0 + abs(exponent))
-    return total, size
 
 
 def _power_bound_rep(sigma: float, periods: tuple[float, ...]) -> list[tuple[float, int]]:

@@ -59,6 +59,15 @@ def test_form_validation():
             CyclotomicForm(**{"l": 0, "num_exponents": (), "den_exponents": (2, 2), **bad})
     with pytest.raises(InvalidParameterError):
         CyclotomicForm(l=0, num_exponents=(0,), den_exponents=(2,))
+    # exponents come in any iterable and are kept as tuples, so a list
+    # gives the same hashable form; a non-iterable is refused
+    for num, den in (([], (2, 2)), ((), [2, 2]), ([], [2, 2])):
+        form = CyclotomicForm(0, num, den)
+        assert form == CyclotomicForm(0, (), (2, 2))
+        assert hash(form) == hash(CyclotomicForm(0, (), (2, 2)))
+    for bad in (dict(num_exponents=3), dict(den_exponents=None)):
+        with pytest.raises(InvalidParameterError):
+            CyclotomicForm(**{"l": 0, "num_exponents": (), "den_exponents": (2, 2), **bad})
     form = CyclotomicForm(l=-2, num_exponents=(2,), den_exponents=(3, 3))
     assert (form.a, form.b, form.abs_m, form.abs_n) == (1, 2, 2, 6)
     assert form.weight == -2 + 2 - 6
@@ -379,6 +388,32 @@ def test_mellin_against_mpmath():
         assert abs(got.value - want) <= got.error, (l, m, n, w, s, got, want)
     # the rule answers all but a few of the hardest (small gap, complex w)
     assert len(refused) <= len(points) // 20, refused
+
+
+SERIES_FORMS = ((0, (), (2, 2)), (0, (3,), (3, 3, 3)), (0, (), (2, 3)))
+
+
+def test_series_against_mpmath():
+    # every series value lies within its err of an mpmath reference that
+    # shares no azw code, or the call raises an AzwError; w stays at least
+    # 1 past the edge of convergence b - a, where the tail is cheap, and
+    # (2, 3) is refolded onto the period 6
+    pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import references
+
+    rng = random.Random(20261019)
+    for l, m, n in SERIES_FORMS:
+        for i in range(6):
+            w_im, s_im = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) if i % 2 else (0.0, 0.0)
+            w = complex(len(n) - len(m) + rng.uniform(1.0, 4.0), w_im)
+            s = complex(rng.uniform(0.2, 3.0), s_im)
+            want = complex(references.absolute_Z(l, m, n, w, s))
+            try:
+                got = absolute_hurwitz_Z(CyclotomicForm(l, m, n), w, s, "series")
+            except AzwError:
+                continue
+            assert abs(got.value - want) <= got.error, (l, m, n, w, s, got, want)
 
 
 def test_mellin_refuses_when_levels_never_agree(monkeypatch):

@@ -301,6 +301,17 @@ def test_integer_periods_refold_onto_their_lcm():
     assert abs(direct_series(MultiZetaParams(2, 1.0, (1.0, 2.0)), 6.0, pol) - rect) <= 2 * bound
 
 
+def test_multiple_zeta_refolds_once(monkeypatch):
+    # in the convergent domain the route test and the sum share one refold
+    from azw import multizeta
+    calls = []
+    fold = multizeta._fold_counts
+    monkeypatch.setattr(multizeta, "_fold_counts", lambda *a: calls.append(a) or fold(*a))
+    got = multiple_hurwitz_zeta(MultiZetaParams(2, 3.0, (1.0, 2.0)), 6.0)
+    assert len(calls) == 1
+    assert abs(got - 0.00184435390770688) <= 1e-12 * 0.00184435390770688
+
+
 def test_rectangle_stops_on_the_relative_target(monkeypatch):
     # |value| is about 3e-8, so an absolute stop at 1e-13 returned a value
     # off by 1.3e-7 relative; it must meet target * |ref| or refuse.
