@@ -508,6 +508,9 @@ def verify_functional_equation(n: int, s: float, tol: float = 1e-6,
     """
     if n < 3:
         raise InvalidParameterError("functional equation is for cycle graphs, n >= 3")
+    if not (math.isfinite(tol) and tol >= 0):
+        # inf would pass any residual and a negative tol fail a zero one
+        raise InvalidParameterError(f"tol must be finite and >= 0, got {tol}")
     s = float(s)
     if _on_lattice(s, n) or _on_lattice(-2.0 * n - s, n):
         raise SingularPointError(f"s = {s} sits on the singular lattice for n = {n}")

@@ -7,7 +7,8 @@ random-walk spectra, the reduced-cycle series definition, and the
 reciprocal-argument automorphy certificate.
 
 Everything marked "exact" below is checked in rational arithmetic with no
-tolerance; spectra are floating and carry explicit clustering tolerances.
+tolerance; spectra are floating, clustered and matched within the one
+constant SPECTRUM_CLUSTER_TOL.
 """
 
 from __future__ import annotations
@@ -291,7 +292,8 @@ def verify_ihara_series(g: Graph, r_max: int = 6) -> CycleSeriesReport:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalue multiset with multiplicities and provenance."""
+    """Eigenvalue clusters with multiplicities, provenance and the
+    clustering tolerance (always SPECTRUM_CLUSTER_TOL)."""
 
     entries: tuple[tuple[complex, int], ...]
     source: str  # "direct" | "konno_sato_mapped"
@@ -300,12 +302,6 @@ class SpectrumReport:
     @property
     def dimension(self) -> int:
         return sum(mult for _, mult in self.entries)
-
-    def expanded(self) -> list[complex]:
-        out: list[complex] = []
-        for value, mult in self.entries:
-            out.extend([value] * mult)
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -318,30 +314,36 @@ class SpectrumReport:
         }
 
 
-def _cluster(values: list[complex], tol: float, source: str) -> SpectrumReport:
-    # Greedy clustering against running means; sorted order alone is not
-    # reliable when real parts differ only by solver noise.
-    clusters: list[list[complex]] = []
+def _sorted_report(entries, source: str) -> SpectrumReport:
+    return SpectrumReport(entries=tuple(sorted(entries, key=lambda e: (e[0].real, e[0].imag))),
+                          source=source, tolerance=SPECTRUM_CLUSTER_TOL)
+
+
+def _cluster(values: list[complex], source: str) -> SpectrumReport:
+    # Greedy clustering against running means; each cluster is [sum, count]
+    # with the sum started from 0j, as sum() starts. Sorted order alone is
+    # not reliable when real parts differ only by solver noise.
+    clusters: list[list] = []
     for z in sorted(values, key=lambda z: (z.real, z.imag)):
         for c in clusters:
-            if abs(z - sum(c) / len(c)) <= tol:
-                c.append(z)
+            if abs(z - c[0] / c[1]) <= SPECTRUM_CLUSTER_TOL:
+                c[0] += z
+                c[1] += 1
                 break
         else:
-            clusters.append([z])
-    entries = tuple(sorted(
-        ((sum(c) / len(c), len(c)) for c in clusters),
-        key=lambda e: (e[0].real, e[0].imag)))
-    return SpectrumReport(entries=entries, source=source, tolerance=tol)
+            clusters.append([0j + z, 1])
+    return _sorted_report([(total / count, count) for total, count in clusters], source)
 
 
-def spectrum(g: Graph, tol: float = SPECTRUM_CLUSTER_TOL) -> SpectrumReport:
+def spectrum(g: Graph) -> SpectrumReport:
     """Eigenvalues of the Grover operator, clustered from a dense solve."""
     import numpy as np
 
-    u = np.array(grover_matrix(g).to_float_rows(), dtype=float)
-    vals = np.linalg.eigvals(u)
-    return _cluster([complex(v) for v in vals], tol, "direct")
+    rows = grover_matrix(g).to_float_rows()
+    if not rows:  # the one-vertex graph: numpy reads [] as a 1-D array
+        return _cluster([], "direct")
+    vals = np.linalg.eigvals(np.array(rows, dtype=float))
+    return _cluster([complex(v) for v in vals], "direct")
 
 
 def _transition_eigenvalues(g: Graph) -> list[float]:
@@ -349,6 +351,9 @@ def _transition_eigenvalues(g: Graph) -> list[float]:
     which has the same spectrum and keeps the solve real-symmetric."""
     import numpy as np
 
+    if min(g.degrees()) == 0:
+        # only the single-vertex graph; P has a row of zeros there
+        raise InvalidParameterError("random walk needs every vertex to have a neighbour")
     adj, _ = adjacency_and_degree(g)
     a = np.array(adj.to_float_rows(), dtype=float)
     d = np.array([float(x) for x in g.degrees()])
@@ -357,66 +362,59 @@ def _transition_eigenvalues(g: Graph) -> list[float]:
     return [float(v) for v in np.linalg.eigvalsh(sym)]
 
 
-def transition_spectrum(g: Graph, tol: float = SPECTRUM_CLUSTER_TOL) -> SpectrumReport:
+def transition_spectrum(g: Graph) -> SpectrumReport:
     """Eigenvalues of the random-walk transition matrix."""
-    return _cluster([complex(v) for v in _transition_eigenvalues(g)], tol, "direct")
+    return _cluster([complex(v) for v in _transition_eigenvalues(g)], "direct")
 
 
-def spectrum_via_konno_sato(g: Graph, tol: float = SPECTRUM_CLUSTER_TOL) -> SpectrumReport:
-    """Grover spectrum obtained by mapping the random-walk spectrum.
+def spectrum_via_konno_sato(g: Graph) -> SpectrumReport:
+    """Grover spectrum obtained by mapping the clustered random-walk spectrum.
 
-    Each transition eigenvalue mu maps to the root pair of
-    lambda^2 - 2 mu lambda + 1, i.e. mu +/- i sqrt(1 - mu^2); the
-    (lambda^2 - 1)^(m-n) factor contributes +1 and -1 with multiplicity
-    m - n when m >= n and cancels one pair per unit when m < n (trees).
+    Each transition cluster (mu, k) maps to the roots of
+    lambda^2 - 2 mu lambda + 1, (mu +/- i sqrt(1 - mu^2), k); a mu within
+    SPECTRUM_CLUSTER_TOL of +1 or -1 adds 2k to that unit's count instead.
+    The (lambda^2 - 1)^(m-n) factor adds m - n to both counts; one left
+    negative (a tree lacking mu = +-1) raises SpectralMismatchError.
     """
-    mapped: list[complex] = []
-    for mu in _transition_eigenvalues(g):
-        # sqrt(1 - mu^2) turns solver noise eps near |mu| = 1 into
-        # sqrt(2 eps), so snap exact +-1 eigenvalues first
-        if abs(abs(mu) - 1.0) <= 1e-12:
-            mu = math.copysign(1.0, mu)
-        disc = max(0.0, 1.0 - mu * mu)
-        root = math.sqrt(disc)
-        mapped.append(complex(mu, root))
-        mapped.append(complex(mu, -root))
-    extra = g.m - g.n
-    if extra >= 0:
-        mapped.extend([complex(1.0)] * extra)
-        mapped.extend([complex(-1.0)] * extra)
-    else:
-        for target in (1.0, -1.0):
-            for _ in range(-extra):
-                idx = min(range(len(mapped)), key=lambda i: abs(mapped[i] - target))
-                if abs(mapped[idx] - target) > tol:
-                    raise SpectralMismatchError(
-                        f"cannot cancel eigenvalue {target} for tree mapping")
-                mapped.pop(idx)
-    return _cluster(mapped, tol, "konno_sato_mapped")
+    units = {1.0: g.m - g.n, -1.0: g.m - g.n}
+    entries: list[tuple[complex, int]] = []
+    for mu, k in transition_spectrum(g).entries:
+        unit = next((u for u in units if abs(mu - u) <= SPECTRUM_CLUSTER_TOL), None)
+        if unit is not None:
+            units[unit] += 2 * k
+            continue
+        root = math.sqrt(max(0.0, 1.0 - mu.real * mu.real))
+        entries += [(complex(mu.real, root), k), (complex(mu.real, -root), k)]
+    for unit, count in units.items():
+        if count < 0:
+            raise SpectralMismatchError(
+                f"eigenvalue {unit} has multiplicity {count} after the m - n shift")
+        if count:
+            entries.append((complex(unit), count))
+    return _sorted_report(entries, "konno_sato_mapped")
 
 
-def matched_spectra(g: Graph, tol: float = SPECTRUM_CLUSTER_TOL
-                    ) -> tuple[SpectrumReport, SpectrumReport]:
-    """Direct and mapped Grover spectra, verified equal as multisets."""
-    direct = spectrum(g, tol)
-    mapped = spectrum_via_konno_sato(g, tol)
-    a = direct.expanded()
-    b = mapped.expanded()
-    if len(a) != len(b):
-        raise SpectralMismatchError(f"dimension {len(a)} vs {len(b)}")
-    # greedy nearest-neighbour multiset matching
-    used = [False] * len(b)
-    worst = 0.0
-    for x in a:
-        best, dist = -1, math.inf
-        for i, y in enumerate(b):
-            if not used[i] and abs(x - y) < dist:
-                best, dist = i, abs(x - y)
-        used[best] = True
-        worst = max(worst, dist)
-    if worst > tol:
-        raise SpectralMismatchError(f"multiset distance {worst:.3e} exceeds {tol:.1e}")
-    for value, _ in direct.entries:
+def matched_spectra(g: Graph) -> tuple[SpectrumReport, SpectrumReport]:
+    """Direct and mapped Grover spectra, verified equal cluster by cluster.
+
+    Each direct cluster is paired with the nearest unused mapped cluster
+    of the same multiplicity within SPECTRUM_CLUSTER_TOL, and must lie on
+    the unit circle within UNIT_CIRCLE_TOL; equal dimensions then leave
+    no mapped cluster unpaired.
+    """
+    direct = spectrum(g)
+    mapped = spectrum_via_konno_sato(g)
+    if direct.dimension != mapped.dimension:
+        raise SpectralMismatchError(f"dimension {direct.dimension} vs {mapped.dimension}")
+    unused = list(mapped.entries)
+    for value, mult in direct.entries:
+        near = [e for e in unused
+                if e[1] == mult and abs(e[0] - value) <= SPECTRUM_CLUSTER_TOL]
+        if not near:
+            raise SpectralMismatchError(
+                f"no mapped eigenvalue of multiplicity {mult} within "
+                f"{SPECTRUM_CLUSTER_TOL:.1e} of {value}")
+        unused.remove(min(near, key=lambda e: abs(e[0] - value)))
         if abs(abs(value) - 1.0) > UNIT_CIRCLE_TOL:
             raise SpectralMismatchError(f"eigenvalue {value} off the unit circle")
     return direct, mapped

@@ -708,6 +708,13 @@ def test_functional_equation_grid(n, s):
     assert rep.residual <= 1e-6
 
 
+def test_functional_equation_tol_must_be_finite_and_nonnegative():
+    for tol in (math.inf, -1.0, math.nan):
+        with pytest.raises(InvalidParameterError):
+            verify_functional_equation(3, 0.7, tol=tol)
+    verify_functional_equation(3, 0.7, tol=0.0)  # 0 asks for an exact match
+
+
 def test_functional_equation_singular_points():
     with pytest.raises(SingularPointError):
         verify_functional_equation(3, 0.0)

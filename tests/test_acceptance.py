@@ -96,7 +96,7 @@ def test_criterion_03_stated_spectra(corpus):
     ok &= close(spectrum(c4).entries,
                 [(-1 + 0j, 2), (1j, 2), (-1j, 2), (1 + 0j, 2)])
     for g in corpus.values():
-        matched_spectra(g, tol=1e-8)  # raises on mismatch
+        matched_spectra(g)  # raises on mismatch
     _report(3, "C4 spectra match the stated multisets (1e-10); mapped = direct "
                "on the corpus (1e-8)", ok)
 

@@ -463,6 +463,27 @@ def test_abszeta_spectrum_undecodable_file(tmp_path, csv):
     assert payload["error"] == "UnicodeDecodeError"
 
 
+def test_abszeta_spectrum_one_vertex_graph(tmp_path):
+    # the walk needs a neighbour at every vertex, as `verify konno-sato` says
+    path = tmp_path / "k1.json"
+    path.write_text(json.dumps({"n": 1, "edges": []}))
+    for argv in (["abszeta", "spectrum", str(path)], ["verify", "konno-sato", str(path)]):
+        result = invoke(argv)
+        assert result.exit_code == 1 and result.exception is None, argv
+        status, payload = _payload(result)
+        assert status == "domain_error"
+        assert payload["error"] == "InvalidParameterError", argv
+
+
+@pytest.mark.parametrize("tol", ["inf", "-1", "nan"])
+def test_verify_functional_eq_refuses_bad_tol(tol):
+    result = invoke(["verify", "functional-eq", "--n", "3", "--s", "0.7", "--tol", tol])
+    assert result.exit_code == 1
+    status, payload = _payload(result)
+    assert status == "domain_error"
+    assert payload["error"] == "InvalidParameterError"
+
+
 def test_output_is_deterministic(cycle4_file):
     a = invoke(["zeta", "grover", cycle4_file]).stdout
     b = invoke(["zeta", "grover", cycle4_file]).stdout

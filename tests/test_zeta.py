@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import connected_graphs
 from azw import (
     ExactPolynomial,
     ExactRationalFunction,
+    SpectrumReport,
     automorphic_weight,
     count_reduced_cycles,
     generate,
@@ -22,7 +24,9 @@ from azw import (
     verify_ihara_series,
     verify_konno_sato,
 )
-from azw.errors import InvalidParameterError
+import azw.zeta
+from azw.errors import InvalidParameterError, SpectralMismatchError
+from azw.graphs import build_graph
 from test_matrices import CORPUS_DET_U
 
 F = Fraction
@@ -175,6 +179,55 @@ def test_spectrum_k2_tree_cancellation():
     assert got == sorted([((-1.0, 0.0), 1), ((1.0, 0.0), 1)])
     direct = _as_multiset(spectrum(generate("complete", 2)))
     assert direct == got
+
+
+def test_mapped_unit_multiplicities_on_trees():
+    # both trees are bipartite with m - n = -1: mu = 1 and mu = -1 each add
+    # 2 to their unit's count, and the shift takes one back
+    r = round(0.5 ** 0.5, 6)
+    want = {
+        ("star", 4): {(1.0, 0.0): 1, (-1.0, 0.0): 1, (0.0, 1.0): 3, (0.0, -1.0): 3},
+        ("path", 5): {(1.0, 0.0): 1, (-1.0, 0.0): 1, (0.0, 1.0): 1, (0.0, -1.0): 1,
+                      (r, r): 1, (r, -r): 1, (-r, r): 1, (-r, -r): 1},
+    }
+    for (family, size), mults in want.items():
+        g = generate(family, size)
+        assert _as_multiset(spectrum_via_konno_sato(g)) == sorted(mults.items()), family
+        direct, _ = matched_spectra(g)
+        assert _as_multiset(direct) == sorted(mults.items()), family
+
+
+def test_mapped_tree_without_unit_eigenvalue_raises(monkeypatch):
+    # K2's transition spectrum is {-1, 1}; without mu = 1 the m - n = -1
+    # shift leaves +1 with multiplicity -1
+    real = transition_spectrum(generate("complete", 2))
+    lacking = SpectrumReport(entries=((-1 + 0j, 1), (0j, 1)), source=real.source,
+                             tolerance=real.tolerance)
+    monkeypatch.setattr(azw.zeta, "transition_spectrum", lambda g: lacking)
+    with pytest.raises(SpectralMismatchError):
+        spectrum_via_konno_sato(generate("complete", 2))
+
+
+@pytest.mark.parametrize("changes", [{0: 3}, {0: 3, 1: 1}], ids=["dimension", "same-dimension"])
+def test_matched_spectra_rejects_changed_multiplicity(monkeypatch, changes):
+    g = generate("cycle", 4)
+    real = spectrum_via_konno_sato(g)
+    entries = tuple((v, changes.get(i, m)) for i, (v, m) in enumerate(real.entries))
+    changed = SpectrumReport(entries=entries, source=real.source, tolerance=real.tolerance)
+    monkeypatch.setattr(azw.zeta, "spectrum_via_konno_sato", lambda g: changed)
+    with pytest.raises(SpectralMismatchError):
+        matched_spectra(g)
+
+
+def test_one_vertex_graph_spectra():
+    g = build_graph(1, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = spectrum(g)
+        assert rep.entries == () and rep.dimension == 0 == 2 * g.m
+        for call in (transition_spectrum, spectrum_via_konno_sato, matched_spectra):
+            with pytest.raises(InvalidParameterError):
+                call(g)
 
 
 def test_matched_spectra_on_corpus(corpus):
