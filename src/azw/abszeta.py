@@ -233,20 +233,13 @@ def _refold(form: CyclotomicForm) -> tuple[int, list[tuple[int, int]]]:
     prod(x^m(i) - 1) * prod(1 + x^n(j) + ... + x^(N - n(j))) = sum_k c_k x^k,
     in ascending k, so that f(x) = x^(l/2) sum_k c_k x^k / (x^N - 1)^b.
     Raises PrecisionError when the degree exceeds the refold budget."""
-    period = math.lcm(*form.den_exponents)
-    degree = form.abs_m + form.b * period - form.abs_n
-    if degree > _REFOLD_BUDGET:
+    refold = _fold_counts(form.num_exponents, form.den_exponents)
+    if refold is None:
+        period = math.lcm(*form.den_exponents)
         raise PrecisionError(
-            f"refolding to the period {period} gives a numerator of degree {degree}, "
-            f"over the budget of {_REFOLD_BUDGET}")
-    coeffs = [1]
-    for m in form.num_exponents:
-        out = [0] * (len(coeffs) + m)
-        for i, c in enumerate(coeffs):
-            out[i] -= c
-            out[i + m] += c
-        coeffs = out
-    coeffs = _fold_counts(coeffs, period, form.den_exponents)
+            f"refolding to the period {period} gives a numerator of degree "
+            f"{form.abs_m + form.b * period - form.abs_n}, over the budget of {_REFOLD_BUDGET}")
+    period, coeffs = refold
     return period, [(k, c) for k, c in enumerate(coeffs) if c]
 
 

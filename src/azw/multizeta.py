@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,14 +39,12 @@ from .errors import (
 
 _TWO_PI = 2.0 * math.pi
 
-# Euler-Maclaurin shift count N and highest Bernoulli index of the first
-# rung of the escalation ladder, the most lattice points any one sum may
-# take (ladder, collapsed series or rectangle), and the lattice steps the
-# collapsed series takes before its first stopping test. `direct_series`
-# gives a refold to the rectangle when that first block over every
-# refolded shift alone would pass the budget.
+# Euler-Maclaurin shift count N for Re(s) >= 0, the Bernoulli orders that
+# close the kernel's one partial sum, the most lattice points any one sum
+# may take, and the lattice steps of the collapsed series' first block,
+# past which `direct_series` gives a refold to the rectangle.
 _EM_SHIFT = 24
-_BERNOULLI_ORDER = 12
+_BERNOULLI_ORDERS = (12, 30)
 _SERIES_BUDGET = 2_000_000
 _SERIES_BLOCK = 256
 # highest degree of a refolded numerator, here and in `abszeta`: each
@@ -84,10 +83,14 @@ class MultiZetaParams:
     def __post_init__(self):
         if self.order not in (1, 2, 3):
             raise InvalidParameterError(f"order must be 1, 2 or 3, got {self.order}")
+        try:  # a tuple, so equal parameters compare and hash equal
+            object.__setattr__(self, "periods", tuple(self.periods))
+        except TypeError:
+            raise InvalidParameterError(f"periods must be iterable, got {self.periods!r}") from None
         if len(self.periods) != self.order:
             raise InvalidParameterError("period count must equal the order")
-        if any(not (w > 0) for w in self.periods):
-            raise InvalidParameterError("periods must be positive")
+        if not all(isinstance(w, numbers.Real) and 0 < w < math.inf for w in self.periods):
+            raise InvalidParameterError(f"periods must be finite positive reals, got {self.periods}")
 
     @property
     def equal_periods(self) -> bool:
@@ -160,17 +163,14 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> comple
     """Euler-Maclaurin evaluation of the Hurwitz zeta or its s-derivative.
 
     The shift is moved into Re(a) >= 1 first, summing the terms it passes
-    over with principal-branch powers. Then N terms are summed and
-    `_em_tail` closes the tail with Bernoulli indices up to an order; each
-    rung of the ladder doubles N (and raises the order to 30) up to 8 N0,
-    until the last tail term clears the target. At s = 1 the tail keeps
-    only the finite part of its integral, so the value is the finite
-    Laurent coefficient of the pole, -psi(a). A ladder whose largest rung
-    would sum more than the series budget is refused before any work, so
-    a huge |s| or shift cannot hang the caller; a term that overflows
-    double precision raises DomainError, and a value that falls below the
-    smallest normal double because big^(-s) underflowed raises
-    PrecisionError.
+    over with principal-branch powers. Then N terms, N fixed by s, are
+    summed once, and `_em_tail` closes the tail at each Bernoulli order in
+    turn until its last term clears the target, else refuses. At s = 1
+    the tail keeps only the finite part of its integral, so the value is
+    the finite Laurent coefficient of the pole, -psi(a). A sum over the
+    series budget is refused before any work; a term that overflows double
+    precision raises DomainError, and a value below the smallest normal
+    double because big^(-s) underflowed raises PrecisionError.
     """
     a = complex(a)
     if a.imag == 0.0 and a.real <= 0 and float(a.real).is_integer():
@@ -179,21 +179,16 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> comple
         raise InvalidParameterError(
             f"Euler-Maclaurin sums need a finite s and shift, got s={s}, a={a}")
     # negative Re(s) makes the shifted terms grow, so fewer of them keeps
-    # summation cancellation small; the Bernoulli tail still converges and
-    # the escalation below guards the remainder either way
+    # summation cancellation small, and more would only grow it
     if s.real < 0:
-        shift0 = min(_EM_SHIFT, max(8, int(abs(s)) + 4))
+        shift_count = min(_EM_SHIFT, max(8, int(abs(s)) + 4))
     else:
-        shift0 = max(_EM_SHIFT, int(abs(s)) + 8)
-    terms = max(0, math.ceil(1.0 - a.real)) + 8 * shift0
+        shift_count = max(_EM_SHIFT, int(abs(s)) + 8)
+    terms = max(0, math.ceil(1.0 - a.real)) + shift_count
     if terms > _SERIES_BUDGET:
         raise PrecisionError(
-            f"Euler-Maclaurin ladder for s={s}, a={a} needs {float(terms):.3g} terms, "
+            f"Euler-Maclaurin sum for s={s}, a={a} needs {float(terms):.3g} terms, "
             f"over the budget of {_SERIES_BUDGET}")
-    rungs = ((shift0, _BERNOULLI_ORDER),
-             (2 * shift0, min(_BERNOULLI_ORDER + 4, 30)),
-             (4 * shift0, 30),
-             (8 * shift0, 30))
     try:
         prefix = 0j
         pulled = a
@@ -202,14 +197,14 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> comple
             term = cmath.exp(-s * lg)
             prefix += (-lg * term) if deriv else term
             pulled += 1
-        for shift_count, bern_order in rungs:
-            acc = 0j
-            for k in range(shift_count):
-                lg = cmath.log(pulled + k)
-                term = cmath.exp(-s * lg)
-                acc += (-lg * term) if deriv else term
-            big = pulled + shift_count
-            acc, term, _ = _em_tail(acc, s, big, bern_order, deriv)
+        partial = 0j
+        for k in range(shift_count):
+            lg = cmath.log(pulled + k)
+            term = cmath.exp(-s * lg)
+            partial += (-lg * term) if deriv else term
+        big = pulled + shift_count
+        for order in _BERNOULLI_ORDERS:
+            acc, term, _ = _em_tail(partial, s, big, order, deriv)
             result = acc + prefix
             if abs(term) <= policy.target * max(abs(result), 1.0):
                 if (abs(result) < sys.float_info.min
@@ -314,10 +309,10 @@ def _equal_period_sum(order: int, period: float, terms: list[tuple[int, complex]
     return total, size
 
 
-def _refolded(params: MultiZetaParams) -> tuple[float, list[tuple[int, complex]]]:
-    """`_refolded_lattice(params)`, the one route of every multiple zeta
-    function; UnsupportedContinuationError when there is none."""
-    refolded = _refolded_lattice(params)
+def _refolded(params: MultiZetaParams, shifts=None) -> tuple[float, list[tuple[int, complex]]]:
+    """`_refolded_lattice(params, shifts)`, the one route of every multiple
+    zeta function; UnsupportedContinuationError when there is none."""
+    refolded = _refolded_lattice(params, shifts)
     if refolded is None:
         raise UnsupportedContinuationError(
             f"periods {params.periods} do not refold onto one period: they are not "
@@ -404,14 +399,11 @@ def multiple_gamma(params: MultiZetaParams,
 def multiple_sine(params: MultiZetaParams,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     """Reflection product Gamma_r(x)^(-1) * Gamma_r(|omega| - x)^((-1)^r) of
-    equal or integer periods, as one exp of the log-gamma sum over both
-    refolds, so gammas that overflow double precision still give a finite
-    sine; real for a real shift."""
-    period, terms = _refolded(params)
-    reflected = MultiZetaParams(params.order, sum(params.periods) - complex(params.shift),
-                                params.periods)
-    sign = (-1) ** params.order
-    terms = [(-c, x) for c, x in terms] + [(sign * c, x) for c, x in _refolded(reflected)[1]]
+    equal or integer periods, as one exp of the log-gamma sum over one
+    refold shifted to x and to |omega| - x, so gammas that overflow double
+    precision still give a finite sine; real for a real shift."""
+    x = complex(params.shift)
+    period, terms = _refolded(params, ((-1, x), ((-1) ** params.order, sum(params.periods) - x)))
     log_value, _ = _equal_period_sum(params.order, period, terms, 0j, True, policy)
     value = _checked_exp(log_value, f"S_{params.order} at shift {params.shift}")
     return _real_on_real_axis(value, params.shift)
@@ -564,46 +556,53 @@ def _rectangular_series(params: MultiZetaParams, s: complex,
             f"lattice series terms overflow double precision at s={s}, shift {x}") from exc
 
 
-def _fold_counts(coeffs: list[int], period: int, periods) -> list[int]:
-    """The ascending integer coefficients of coeffs(x) times the product
-    over w in periods of 1 + x^w + ... + x^(period - w); every w divides
-    period. This is how a lattice of periods w is refolded onto the one
-    period N: an index n of period w is q N/w + t with t < N/w. Each
-    factor is (1 - x^N)/(1 - x^w), so it costs one pass: multiply by
-    1 - x^N, then divide by 1 - x^w as a running sum of stride w."""
-    for w in periods:
-        out = coeffs + [0] * (period - w)
+def _fold_counts(num_exponents, den_exponents) -> tuple[int, list[int]] | None:
+    """N = lcm(n) and the ascending integer c_k with prod(x^m - 1) /
+    prod(x^n - 1) = sum_k c_k x^k / (x^N - 1)^b over the exponents m and n,
+    or None when that degree passes the refold budget: the one refold of
+    integer periods (an index of period n is q N/n + t, t < N/n) and of
+    cyclotomic forms. Each 1 + x^n + ... + x^(N - n) is (1 - x^N)/(1 - x^n):
+    one pass multiplies by 1 - x^N and divides by 1 - x^n as a running sum."""
+    period = math.lcm(*den_exponents)
+    if sum(num_exponents) + sum(period - n for n in den_exponents) > _REFOLD_BUDGET:
+        return None
+    coeffs = [1]
+    for m in num_exponents:
+        out = [0] * m + coeffs  # x^m times coeffs, less coeffs
+        for i, c in enumerate(coeffs):
+            out[i] -= c
+        coeffs = out
+    for n in den_exponents:
+        out = coeffs + [0] * (period - n)
         for j in range(len(out)):
             if j >= period:
                 out[j] -= coeffs[j - period]
-            if j >= w:
-                out[j] += out[j - w]
+            if j >= n:
+                out[j] += out[j - n]
         coeffs = out
-    return coeffs
+    return period, coeffs
 
 
-def _refolded_lattice(params: MultiZetaParams) -> tuple[float, list[tuple[int, complex]]] | None:
+def _refolded_lattice(params: MultiZetaParams, shifts=None) -> tuple[float, list] | None:
     """The period N and the (c, y) terms with the lattice sum over the
-    periods equal to sum c zeta_r(s, y; N, ..., N), or None when the
-    periods are not integers or the refolded degree passes the refold
-    budget.
-
-    Equal periods are the one term (1, x). Integer periods refold to
-    N = lcm, as `abszeta` refolds a form: a period w contributes the
-    shifts x + t w for t < N/w, and c counts the tuples that reach x + k;
-    the refolded degree is the sum of N - w.
+    periods at each (weight, x) of shifts, default (1, shift), times its
+    weight equal to sum c zeta_r(s, y; N, ..., N); None when the periods
+    are not integers or the refolded degree passes the refold budget.
+    Integer periods refold to N = lcm, as `abszeta` refolds a form: a
+    period w contributes the shifts x + t w for t < N/w, and c counts the
+    tuples that reach x + k.
     """
-    x = complex(params.shift)
+    shifts = shifts or ((1, complex(params.shift)),)
     if params.equal_periods:
-        return params.periods[0], [(1, x)]
+        return params.periods[0], list(shifts)
     if not all(float(w).is_integer() for w in params.periods):
         return None
-    ints = [int(w) for w in params.periods]
-    period = math.lcm(*ints)
-    if sum(period - w for w in ints) > _REFOLD_BUDGET:
+    refold = _fold_counts((), [int(w) for w in params.periods])
+    if refold is None:
         return None
-    counts = _fold_counts([1], period, ints)
-    return float(period), [(c, x + k) for k, c in enumerate(counts) if c]
+    period, counts = refold
+    return float(period), [(weight * c, x + k) for weight, x in shifts
+                           for k, c in enumerate(counts) if c]
 
 
 def direct_series(params: MultiZetaParams, s,

@@ -60,6 +60,27 @@ def test_params_validation():
         MultiZetaParams(order=1, shift=1.0, periods=(-1.0,))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1j, "2"])
+def test_params_refuse_a_period_that_is_not_a_finite_positive_real(bad):
+    # an infinite period used to spend seconds in the rectangle before a
+    # budget refusal, and (inf,) was reported as a zero shift
+    for periods in ((1.0, bad), (bad, 1.0)):
+        with pytest.raises(InvalidParameterError, match="finite positive reals"):
+            MultiZetaParams(2, 1.0, periods)
+    with pytest.raises(InvalidParameterError, match="finite positive reals"):
+        MultiZetaParams(1, 1.0, (bad,))
+
+
+def test_params_store_periods_as_a_tuple():
+    # a list of periods is the same parameters as the tuple, and hashable
+    listed = MultiZetaParams(2, 1.0, [1.0, 2.0])
+    assert listed.periods == (1.0, 2.0)
+    assert listed == MultiZetaParams(2, 1.0, (1.0, 2.0))
+    assert hash(listed) == hash(MultiZetaParams(2, 1.0, (1.0, 2.0)))
+    with pytest.raises(InvalidParameterError, match="iterable"):
+        MultiZetaParams(1, 1.0, 2.0)
+
+
 def test_bernoulli_table():
     from fractions import Fraction
     assert _BERNOULLI[2] == Fraction(1, 6)
@@ -79,7 +100,7 @@ def test_ladder_refuses_non_finite_arguments(s, a):
 
 
 def test_ladder_refuses_work_over_the_series_budget():
-    # s = 1e7 would sum 8e7 terms and a shift of -3e6 pulls 3e6 terms in;
+    # s = 1e7 would sum 1e7 terms and a shift of -3e6 pulls 3e6 terms in;
     # both are refused before summing, while s = 1e5 is still in budget
     from azw.errors import PrecisionError
     with pytest.raises(PrecisionError):
@@ -89,6 +110,35 @@ def test_ladder_refuses_work_over_the_series_budget():
     with pytest.raises(PrecisionError):
         digamma(-3e6 + 0.5)
     assert abs(hurwitz_zeta(1e5, 1.0) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [-11.5, -7.7, -5.5, -2.2, -0.5, 0.5, 3, 12, 2 + 5j])
+@pytest.mark.parametrize("a", [0.3, 1.0, 4.2])
+@pytest.mark.parametrize("deriv", [False, True])
+def test_kernel_never_grows_its_shift_count(monkeypatch, s, a, deriv):
+    # only the Bernoulli order may rise: every tail closes the one partial
+    # sum at the same b, since for Re(s) < 0 each doubling of N grew the
+    # cancellation (zeta(-10.5, 0.3) came back as -35625, true -0.014)
+    from azw import multizeta
+    seen = []
+    tail = multizeta._em_tail
+    monkeypatch.setattr(multizeta, "_em_tail",
+                        lambda acc, s, b, *rest, **kw: seen.append(b) or tail(acc, s, b, *rest, **kw))
+    try:
+        (hurwitz_zeta_ds if deriv else hurwitz_zeta)(s, a)
+    except PrecisionError:
+        pass
+    assert len(seen) in (1, 2) and len(set(seen)) == 1, seen
+
+
+@pytest.mark.parametrize("s, a, want, tol", [
+    (-6.5, 1.5, -0.013764963610633, 1e-6),
+    (-7.7, 4.2, -8193.53663049604, 1e-8),
+])
+def test_kernel_at_negative_s_against_mpmath(s, a, want, tol):
+    # mpmath.zeta(s, a) at 30 digits; doubling N took these to 4.7e-5 and
+    # 1.4e-7 relative. Both still miss the 1e-13 target
+    assert abs(hurwitz_zeta(s, a) - want) <= tol * abs(want)
 
 
 @pytest.mark.parametrize("s", [-1.5, 0.5, 2.5])
@@ -310,6 +360,20 @@ def test_multiple_zeta_refolds_once(monkeypatch):
     got = multiple_hurwitz_zeta(MultiZetaParams(2, 3.0, (1.0, 2.0)), 6.0)
     assert len(calls) == 1
     assert abs(got - 0.00184435390770688) <= 1e-12 * 0.00184435390770688
+
+
+def test_multiple_sine_refolds_once(monkeypatch):
+    # the refold at x and at |omega| - x share one fold of the periods
+    from azw import multizeta
+    calls = []
+    fold = multizeta._fold_counts
+    monkeypatch.setattr(multizeta, "_fold_counts", lambda *a: calls.append(a) or fold(*a))
+    got = multiple_sine(MultiZetaParams(2, 0.7, (1.0, 2.0)))
+    assert len(calls) == 1
+    # S_2(x; 1, 2) = Gamma_2(3 - x)/Gamma_2(x), each from its own refold
+    want = (multiple_gamma(MultiZetaParams(2, 2.3, (1.0, 2.0)))
+            / multiple_gamma(MultiZetaParams(2, 0.7, (1.0, 2.0))))
+    assert abs(got - want) <= 1e-11 * abs(want)
 
 
 def test_rectangle_stops_on_the_relative_target(monkeypatch):
