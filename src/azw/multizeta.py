@@ -39,11 +39,12 @@ from .errors import (
 
 _TWO_PI = 2.0 * math.pi
 
-# Euler-Maclaurin shift count N for Re(s) >= 0, the Bernoulli orders that
-# close the kernel's one partial sum, the most lattice points any one sum
-# may take, and the lattice steps of the collapsed series' first block,
-# past which `direct_series` gives a refold to the rectangle.
-_EM_SHIFT = 24
+# The least Euler-Maclaurin shift count N for Re(s) >= 0 (N = max(12,
+# |s| + 8), enough for the target at Bernoulli order 12), the Bernoulli
+# orders that close the kernel's one partial sum, the most lattice points
+# any one sum may take, and the lattice steps of the collapsed series'
+# first block, past which `direct_series` gives a refold to the rectangle.
+_EM_SHIFT = 12
 _BERNOULLI_ORDERS = (12, 30)
 _SERIES_BUDGET = 2_000_000
 _SERIES_BLOCK = 256
@@ -116,20 +117,23 @@ def _em_tail(acc: complex, s: complex, b: complex, order: int, deriv: bool = Fal
     """acc plus weight times the Euler-Maclaurin tail of sum_{k>=0}
     (b+k)^(-s), or of its s-derivative: integral b^(1-s)/(s-1) (its finite
     part -log(b) at s = 1, where the derivative is not taken), half term
-    and Bernoulli corrections up to the order. Also returns the last
-    weighted correction and the rounding size of the integral, the largest
-    piece: |integral| (2 + |exponent|), as exp(x) is off by about
-    eps (1 + |x|) relative, and each addition by eps times the addend.
+    and Bernoulli corrections up to the order. One exp gives b^(1-s); the
+    half term divides it by b, and each Bernoulli power b^(-s-2j+1) steps
+    it down by b^(-2). Also returns the last weighted correction and the
+    rounding size of the integral, the largest piece: |integral|
+    (2 + |exponent|), as exp(x) is off by about eps (1 + |x|) relative,
+    and each addition by eps times the addend.
     """
     lg_b = cmath.log(b)
     exponent = (1 - s) * lg_b
-    half = cmath.exp(-s * lg_b)
+    power = cmath.exp(exponent)
+    inv_b = 1 / b
     if deriv:
-        integral = cmath.exp(exponent) * (-lg_b / (s - 1) - 1 / (s - 1) ** 2)
-        half = -lg_b * half / 2
+        integral = power * (-lg_b / (s - 1) - 1 / (s - 1) ** 2)
+        half = -lg_b * power * inv_b / 2
     else:
-        integral = -lg_b if s == 1 else cmath.exp(exponent) / (s - 1)
-        half = half / 2
+        integral = -lg_b if s == 1 else power / (s - 1)
+        half = power * inv_b / 2
     if weight is not None:
         integral *= weight
         half *= weight
@@ -137,35 +141,85 @@ def _em_tail(acc: complex, s: complex, b: complex, order: int, deriv: bool = Fal
     acc += half
     size = abs(integral) * (2.0 + abs(exponent))
 
-    # B_2j/(2j)! s(s+1)...(s+2j-2) b^(-s-2j+1): the product and its
-    # derivative are tracked together so a zero factor (s = -i) never
-    # needs a division.
+    # B_2j/(2j)! s(s+1)...(s+2j-2) b^(-s-2j+1): the derivative of the
+    # product is tracked with it, when asked for, so a zero factor
+    # (s = -i) never needs a division.
     coeffs = _HURWITZ_TAIL if weight is None else [c * weight for c in _HURWITZ_TAIL[:order // 2]]
-    prod = 1 + 0j
-    dprod = 0j
+    step = inv_b * inv_b
+    prod = s
     term = 0j
-    for j in range(1, order // 2 + 1):
-        lo = 0 if j == 1 else 2 * j - 3
-        for i in range(lo, 2 * j - 1):
-            dprod = dprod * (s + i) + prod
-            prod = prod * (s + i)
-        coeff = coeffs[j - 1]
-        power = cmath.exp((-s - 2 * j + 1) * lg_b)
-        if deriv:
-            term = coeff * power * (dprod - lg_b * prod)
-        else:
-            term = coeff * prod * power
-        acc += term
+    if deriv:
+        dprod = 1 + 0j
+        for j in range(order // 2):
+            power *= step
+            term = coeffs[j] * power * (dprod - lg_b * prod)
+            acc += term
+            for i in (2 * j + 1, 2 * j + 2):
+                dprod = dprod * (s + i) + prod
+                prod *= s + i
+    else:
+        for j in range(order // 2):
+            power *= step
+            term = coeffs[j] * prod * power
+            acc += term
+            prod *= (s + 2 * j + 1) * (s + 2 * j + 2)
     return acc, term, size
 
 
-def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> complex:
-    """Euler-Maclaurin evaluation of the Hurwitz zeta or its s-derivative.
+def _remainder_bound(sigma: float, b: float, deriv: bool) -> float:
+    """Integral-test bound on sum_{k>=0} (b+k)^(-sigma), or with deriv on
+    sum_{k>=0} log(b+k) (b+k)^(-sigma): the first term plus the integral
+    from b. Valid for sigma > 1 and b >= e, where both summands fall."""
+    lg = math.log(b)
+    first = math.exp(-sigma * lg)
+    rest = math.exp((1 - sigma) * lg) / (sigma - 1)
+    if deriv:
+        return lg * first + rest * (lg + 1 / (sigma - 1))
+    return first + rest
+
+
+def _closed(partial: complex, prefix: complex, s: complex, a: complex, big: complex,
+            deriv: bool, policy: PrecisionPolicy, early: bool) -> complex:
+    """The kernel's value from its partial sum up to big and the pulled
+    prefix: closed by `_em_tail` at each Bernoulli order in turn until the
+    last term clears the target, else refused; taken as it stands when the
+    summation stopped early. A value below the smallest normal double
+    because big^(-s) underflowed is refused."""
+    if early:
+        result = partial + prefix
+    else:
+        for order in _BERNOULLI_ORDERS:
+            acc, term, _ = _em_tail(partial, s, big, order, deriv)
+            result = acc + prefix
+            if abs(term) <= policy.target * max(abs(result), 1.0):
+                break
+        else:
+            raise PrecisionError(
+                f"Euler-Maclaurin tail stalled at {abs(term):.3e} for s={s}, a={a}")
+    if (abs(result) < sys.float_info.min
+            and abs(cmath.exp(-s * cmath.log(big))) < sys.float_info.min):
+        raise PrecisionError(
+            f"Euler-Maclaurin value {abs(result):.3e} underflows double "
+            f"precision at s={s}, a={a}")
+    return result
+
+
+def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy,
+                  pair: bool = False) -> complex | tuple[complex, complex]:
+    """Euler-Maclaurin evaluation of the Hurwitz zeta or its s-derivative;
+    with pair, both at once as (value, derivative), and deriv is ignored.
 
     The shift is moved into Re(a) >= 1 first, summing the terms it passes
     over with principal-branch powers. Then N terms, N fixed by s, are
     summed once, and `_em_tail` closes the tail at each Bernoulli order in
-    turn until its last term clears the target, else refuses. At s = 1
+    turn until its last term clears the target, else refuses. A pair
+    shares the log and the power of every term between its two sums, and
+    each sum gets its own tail, stop test and refusal. For Re(s) > 1 and
+    a real shift, a sum of more than 2 `_EM_SHIFT` terms stops at the
+    first power-of-two count whose integral-test bound on all the rest
+    (`_remainder_bound` at Re(s): on positive reals x, |x^(-s)| is
+    x^(-Re(s))) is below eps times the partial sum, with no tail: at huge
+    s every term past the first few is below rounding. At s = 1
     the tail keeps only the finite part of its integral, so the value is
     the finite Laurent coefficient of the pole, -psi(a). A sum over the
     series budget is refused before any work; a term that overflows double
@@ -179,9 +233,10 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> comple
         raise InvalidParameterError(
             f"Euler-Maclaurin sums need a finite s and shift, got s={s}, a={a}")
     # negative Re(s) makes the shifted terms grow, so fewer of them keeps
-    # summation cancellation small, and more would only grow it
+    # summation cancellation small, and more would only grow it: N is
+    # |s| + 4 clamped to [8, 24]
     if s.real < 0:
-        shift_count = min(_EM_SHIFT, max(8, int(abs(s)) + 4))
+        shift_count = min(24, max(8, int(abs(s)) + 4))
     else:
         shift_count = max(_EM_SHIFT, int(abs(s)) + 8)
     terms = max(0, math.ceil(1.0 - a.real)) + shift_count
@@ -189,35 +244,52 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy) -> comple
         raise PrecisionError(
             f"Euler-Maclaurin sum for s={s}, a={a} needs {float(terms):.3g} terms, "
             f"over the budget of {_SERIES_BUDGET}")
+    stops = [shift_count]
+    if a.imag == 0.0 and s.real > 1 and shift_count > 2 * _EM_SHIFT:
+        stops = [1 << i for i in range(1, (shift_count - 1).bit_length())] + stops
+    values = pair or not deriv
+    slopes = pair or deriv
     try:
-        prefix = 0j
+        prefix = dprefix = 0j
         pulled = a
         while pulled.real < 1.0:
             lg = cmath.log(pulled)
             term = cmath.exp(-s * lg)
-            prefix += (-lg * term) if deriv else term
+            prefix += term
+            if slopes:
+                dprefix += -lg * term
             pulled += 1
-        partial = 0j
-        for k in range(shift_count):
-            lg = cmath.log(pulled + k)
-            term = cmath.exp(-s * lg)
-            partial += (-lg * term) if deriv else term
-        big = pulled + shift_count
-        for order in _BERNOULLI_ORDERS:
-            acc, term, _ = _em_tail(partial, s, big, order, deriv)
-            result = acc + prefix
-            if abs(term) <= policy.target * max(abs(result), 1.0):
-                if (abs(result) < sys.float_info.min
-                        and abs(cmath.exp(-s * cmath.log(big))) < sys.float_info.min):
-                    raise PrecisionError(
-                        f"Euler-Maclaurin value {abs(result):.3e} underflows double "
-                        f"precision at s={s}, a={a}")
-                return result
+        partial = dpartial = 0j
+        count = 0
+        early = False
+        for stop in stops:
+            if slopes:
+                for k in range(count, stop):
+                    lg = cmath.log(pulled + k)
+                    term = cmath.exp(-s * lg)
+                    partial += term
+                    dpartial += -lg * term
+            else:
+                for k in range(count, stop):
+                    partial += cmath.exp(-s * cmath.log(pulled + k))
+            count = stop
+            if count < shift_count:
+                b = pulled.real + count
+                eps = sys.float_info.epsilon
+                early = ((not values or _remainder_bound(s.real, b, False) <= eps * abs(partial))
+                         and (not slopes or _remainder_bound(s.real, b, True) <= eps * abs(dpartial)))
+                if early:
+                    break
+        big = pulled + count
+        if pair:
+            return (_closed(partial, prefix, s, a, big, False, policy, early),
+                    _closed(dpartial, dprefix, s, a, big, True, policy, early))
+        if deriv:
+            return _closed(dpartial, dprefix, s, a, big, True, policy, early)
+        return _closed(partial, prefix, s, a, big, False, policy, early)
     except OverflowError as exc:
         raise DomainError(
             f"Euler-Maclaurin terms overflow double precision at s={s}, shift {a}") from exc
-    raise PrecisionError(
-        f"Euler-Maclaurin tail stalled at {abs(term):.3e} for s={s}, a={a}")
 
 
 def hurwitz_zeta(s, a, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
@@ -282,8 +354,10 @@ def _equal_period_sum(order: int, period: float, terms: list[tuple[int, complex]
     """Sum over (c, x) terms of c times zeta_r(s, x; N, ..., N), or its
     s-derivative, by the reduction N^(-s) sum_j c_j(x/N) zeta(s - j, x/N),
     and the size sum |c| |term|: the analytic twin of `_collapsed_series`.
-    Poles s = 1..r are not checked; there the kernel returns zeta(1, y)'s
-    finite part -psi(y), so a sum whose residues cancel gives its own."""
+    The derivative needs each zeta(s - j, y) and its s-derivative, which
+    one kernel call returns as a pair. Poles s = 1..r are not checked;
+    there the kernel returns zeta(1, y)'s finite part -psi(y), so a sum
+    whose residues cancel gives its own."""
     if order not in (1, 2, 3):
         raise InvalidParameterError(f"order must be 1, 2 or 3, got {order}")
     ln_n = math.log(period)
@@ -300,9 +374,12 @@ def _equal_period_sum(order: int, period: float, terms: list[tuple[int, complex]
         inner = 0j
         dinner = 0j
         for j in reversed(range(order)):
-            inner += coeffs[j] * _hurwitz_core(s - j, y, deriv=False, policy=policy)
             if deriv:
-                dinner += coeffs[j] * _hurwitz_core(s - j, y, deriv=True, policy=policy)
+                value, slope = _hurwitz_core(s - j, y, True, policy, pair=True)
+                inner += coeffs[j] * value
+                dinner += coeffs[j] * slope
+            else:
+                inner += coeffs[j] * _hurwitz_core(s - j, y, deriv=False, policy=policy)
         term = scale * (dinner - ln_n * inner) if deriv else scale * inner
         total += c * term
         size += abs(c) * abs(term)

@@ -357,7 +357,7 @@ _FORM_2_2 = {"l": 0, "m": [], "n": [2, 2]}
         "message": "Z_f needs a finite w and s, got w=(-inf+0j), s=(1+0j)"})),
     (["--s", "-2.5e-3", "--w", "3", "--n", "2,2"], 0, _document("ok", {
         "form": _FORM_2_2, "w": 3.0, "s": -0.0025, "results": [
-            {"value": [0.05541582386431484, 0.0], "err": 5.541582386431484e-14,
+            {"value": [0.05541582386431486, 0.0], "err": 5.541582386431486e-14,
              "method": "structure"}]})),
 ], ids=["w=-1e300", "w=-inf", "s=-2.5e-3"])
 def test_negative_float_values_parse_as_values(argv, code, stdout):

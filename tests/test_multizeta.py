@@ -21,6 +21,7 @@ from azw import (
     multiple_sine,
 )
 from azw.errors import (
+    DomainError,
     InvalidParameterError,
     NonPositiveShiftError,
     PoleError,
@@ -139,6 +140,85 @@ def test_kernel_at_negative_s_against_mpmath(s, a, want, tol):
     # mpmath.zeta(s, a) at 30 digits; doubling N took these to 4.7e-5 and
     # 1.4e-7 relative. Both still miss the 1e-13 target
     assert abs(hurwitz_zeta(s, a) - want) <= tol * abs(want)
+
+
+@pytest.mark.parametrize("s", [0, 0.5, 1, 2.5, 8, 12, 2 + 5j, 0.1 + 7j])
+@pytest.mark.parametrize("a", [0.05, 0.3, 1.0, 4.2])
+def test_kernel_at_nonnegative_s_against_mpmath(s, a):
+    # N = max(12, |s| + 8) terms meet the target at Bernoulli order 12;
+    # at s = 1 the kernel's finite part is -psi(a)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        if s == 1:
+            pairs = [(digamma(a), complex(mp.digamma(a)))]
+        else:
+            pairs = [(hurwitz_zeta(s, a), complex(mp.zeta(s, a))),
+                     (hurwitz_zeta_ds(s, a), complex(mp.zeta(s, a, 1)))]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (got, want)
+
+
+def test_gamma_takes_value_and_derivative_from_one_kernel_call(monkeypatch):
+    # Gamma_2 needs zeta(-j, y) and its s-derivative for j = 0, 1: one
+    # paired call each, not one call for the value and one for the slope
+    from azw import multizeta
+    calls = []
+    kernel = multizeta._hurwitz_core
+    monkeypatch.setattr(multizeta, "_hurwitz_core",
+                        lambda *args, **kw: calls.append(args) or kernel(*args, **kw))
+    gamma = multiple_gamma(MultiZetaParams(2, 0.7, (1.0, 1.0)))
+    assert len(calls) == 2
+    assert gamma.imag == 0.0 and gamma.real > 0
+    monkeypatch.undo()
+    # the pair is the two single-output calls, to rounding where the
+    # pair's sum stops later than one of them (Re(s) > 1)
+    from azw.multizeta import _hurwitz_core
+    for s, a in ((-1.0, 0.7), (0.0, 0.7), (2.5 + 1j, 3.1), (-4.5, 0.3), (40.0, 1.5)):
+        pair = _hurwitz_core(complex(s), a, True, DEFAULT_POLICY, pair=True)
+        for deriv, got in zip((False, True), pair):
+            want = _hurwitz_core(complex(s), a, deriv, DEFAULT_POLICY)
+            assert abs(got - want) <= 4 * sys.float_info.epsilon * abs(want), (s, a, deriv)
+
+
+@pytest.mark.parametrize("kernel", [
+    hurwitz_zeta, hurwitz_zeta_ds,
+    lambda s, a: multiple_hurwitz_zeta_ds(MultiZetaParams(1, a, (1.0,)), s),
+])
+def test_tail_power_overflow_is_a_domain_error(kernel):
+    # at s = -218.2, a = 0.5 every summed term and b^(-s) are finite
+    # (b = 25.5), but the tail integral's b^(1-s) is about e^709.9: the
+    # Bernoulli powers step down from it, and its overflow is refused,
+    # never passed on as inf or nan
+    with pytest.raises(DomainError, match="overflow double precision"):
+        kernel(-218.2, 0.5)
+
+
+def test_kernel_stops_summing_terms_below_rounding(monkeypatch):
+    # at Re(s) = 1.9e6 every term past (1 + k)^(-s) at k = 0 underflows:
+    # the integral-test bound on the rest stops the sum after a few terms,
+    # where N = |s| + 8 would sum 1.9 million of them
+    from types import SimpleNamespace
+
+    from azw import multizeta
+    logs = []
+    counting = SimpleNamespace(**{name: getattr(cmath, name) for name in dir(cmath)
+                                  if not name.startswith("_")})
+    counting.log = lambda z: logs.append(z) or cmath.log(z)
+    monkeypatch.setattr(multizeta, "cmath", counting)
+    assert hurwitz_zeta(1.9e6, 1.0) == 1.0
+    assert hurwitz_zeta(1.9e6 + 0.5j, 1.0) == 1.0
+    assert len(logs) < 40, len(logs)
+    # the early value is the full sum to rounding; a derivative whose
+    # terms all underflow is still refused
+    monkeypatch.undo()
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for s, a in ((17.5, 0.3), (40.3, 2.5), (300.0, 1.0), (25.0, -3.7), (30 + 4j, 1.5)):
+            for got, want in ((hurwitz_zeta(s, a), mp.zeta(s, a)),
+                              (hurwitz_zeta_ds(s, a), mp.zeta(s, a, 1))):
+                assert abs(got - complex(want)) <= 1e-14 * abs(complex(want)), (s, a, got)
+    with pytest.raises(PrecisionError, match="underflows double precision"):
+        hurwitz_zeta_ds(1.9e6, 1.0)
 
 
 @pytest.mark.parametrize("s", [-1.5, 0.5, 2.5])
