@@ -61,9 +61,12 @@ from .multizeta import (
 _METHODS = ("structure", "series", "mellin")
 # x range and finest step 2^-level of the exp-sinh Mellin rule: x = -9
 # reaches log t = -6364, so t^gap vanishes for gaps down to about 0.01;
-# x = 4 reaches t = 4e18
+# x = 4 reaches t = 4e18. Only level 0 walks the whole range: later levels
+# stay one unit past the integer nodes whose terms reach _DE_KEEP of the
+# largest level-0 term.
 _DE_X_RANGE = (-9, 4)
 _DE_MAX_LEVEL = 7
+_DE_KEEP = 1e-20
 _LOG2 = math.log(2.0)
 
 
@@ -305,34 +308,57 @@ def quad(log_g, tol: float) -> tuple[complex, float]:
     t = exp(pi/2 sinh x) and dt = t pi/2 cosh x dx turn the integral into
     one over x in _DE_X_RANGE whose integrand decays double-exponentially
     at both ends, so trapezoid sums with step h = 1, 1/2, ... converge
-    fast. Each level adds the midpoints of the last and stops once two
-    successive sums agree within tol relative (or within rounding). The
-    error is the last difference plus eps * sum |terms|; when every term
-    underflows, that is 0 with error 0, for the caller to refuse. Raises
-    QuadratureBudgetError when no two levels up to 2^-_DE_MAX_LEVEL agree.
+    fast. Level 0 visits every integer x of the range; each later level
+    adds the midpoints of the last, but only between one unit below the
+    first and one unit above the last integer node whose term reaches
+    _DE_KEEP times the largest level-0 term (the whole range when every
+    level-0 term underflows). The rule stops once two successive sums
+    agree within tol relative (or within rounding). The error is the last
+    difference plus the rounding bound eps * h * sum |terms| plus
+    h * skipped * _DE_KEEP * largest level-0 term for the midpoints left
+    out; when every term underflows, that is 0 with error 0, for the
+    caller to refuse. Raises QuadratureBudgetError when no two levels up
+    to 2^-_DE_MAX_LEVEL agree.
     `_mellin_value` looks this name up at call time, so replacing
     `abszeta.quad` (to count or time the quadratures) reroutes every
     Mellin integral.
     """
     total = 0j
     mag = 0.0
-    previous = None
+    sizes = []
+    for log_t, t, weight in _de_nodes(0):
+        exponent = log_g(t, log_t) + log_t
+        size = 0.0
+        if exponent.real > -745.0:  # exp underflows to 0 below this
+            term = cmath.exp(exponent) * weight
+            total += term
+            size = abs(term)
+            mag += size
+        sizes.append(size)
+    peak = max(sizes)
+    # a NaN size counts as kept, so `kept` is never empty
+    kept = [i for i, size in enumerate(sizes) if not size < _DE_KEEP * peak]
+    # [first, last) in units of the level-0 step, from the range's low end
+    width = len(sizes) - 1
+    first, last = max(kept[0] - 1, 0), min(kept[-1] + 1, width)
+    skipped = 0
+    value = total  # level 0 has h = 1
     diff = math.inf
-    for level in range(_DE_MAX_LEVEL + 1):
-        for log_t, t, weight in _de_nodes(level):
+    for level in range(1, _DE_MAX_LEVEL + 1):
+        per_unit = 1 << (level - 1)
+        skipped += (width - (last - first)) * per_unit
+        for log_t, t, weight in _de_nodes(level)[first * per_unit:last * per_unit]:
             exponent = log_g(t, log_t) + log_t
-            if exponent.real > -745.0:  # exp underflows to 0 below this
+            if exponent.real > -745.0:
                 term = cmath.exp(exponent) * weight
                 total += term
                 mag += abs(term)
         h = 2.0 ** -level
-        value = h * total
-        rounding = sys.float_info.epsilon * h * mag
-        if previous is not None:
-            diff = abs(value - previous)
-            if diff <= tol * abs(value) + rounding:
-                return value, diff + rounding
-        previous = value
+        previous, value = value, h * total
+        rounding = h * (sys.float_info.epsilon * mag + skipped * _DE_KEEP * peak)
+        diff = abs(value - previous)
+        if diff <= tol * abs(value) + rounding:
+            return value, diff + rounding
     raise QuadratureBudgetError(
         f"exp-sinh levels still differ by {diff:.3e} at step 2^-{_DE_MAX_LEVEL}")
 
@@ -345,10 +371,11 @@ def _mellin_value(form: CyclotomicForm, w: complex, s: complex,
     log space, log f(e^t) - s t + (w - 1) log t, so neither the t^(w-1+a-b)
     endpoint nor a slow e^(-(Re(s) - growth) t) tail overflows, and the
     double-exponential map clusters nodes at both ends. err is the
-    quadrature estimate (last level difference plus rounding) times
-    |1/Gamma(w)|, plus 10 * target * |value|. Raises QuadratureBudgetError
-    when that estimate exceeds 1e-7 |value|, and PrecisionError when the
-    value underflows to a subnormal or to 0 (every node term underflowing).
+    quadrature estimate (last level difference, rounding and the bound on
+    the midpoints `quad` leaves out) times |1/Gamma(w)|, plus
+    10 * target * |value|. Raises QuadratureBudgetError when that estimate
+    exceeds 1e-7 |value|, and PrecisionError when the value underflows to
+    a subnormal or to 0 (every node term underflowing).
     """
     gap = w.real - (form.b - form.a)
     if gap <= 0:

@@ -221,27 +221,30 @@ def _form_from_options(args):
 
 
 def abszeta_Z(args):
-    """Absolute Hurwitz zeta Z_f(w, s) of the given form."""
+    """Absolute Hurwitz zeta Z_f(w, s) of the given form. With --method all,
+    each pair of methods must agree within the sum of their errs, or the
+    status is verification_failed."""
     from .abszeta import absolute_hurwitz_Z
 
     form = _form_from_options(args)
     policy = _policy()
     methods = ["structure", "series", "mellin"] if args.method == "all" else [args.method]
-    results = [absolute_hurwitz_Z(form, args.w, args.s, mth, policy).to_dict()
-               for mth in methods]
-    payload = {"form": form.to_dict(), "w": args.w, "s": args.s, "results": results}
-    if len(results) > 1:
-        deltas = []
-        for i in range(len(results)):
-            for j in range(i + 1, len(results)):
-                vi = complex(*results[i]["value"])
-                vj = complex(*results[j]["value"])
-                deltas.append({
-                    "methods": [results[i]["method"], results[j]["method"]],
-                    "relative_delta": abs(vi - vj) / max(abs(vi), 1e-300),
-                })
-        payload["pairwise"] = deltas
-    return "ok", payload
+    values = [absolute_hurwitz_Z(form, args.w, args.s, mth, policy) for mth in methods]
+    payload = {"form": form.to_dict(), "w": args.w, "s": args.s,
+               "results": [v.to_dict() for v in values]}
+    if len(values) == 1:
+        return "ok", payload
+    pairs = []
+    for i, vi in enumerate(values):
+        for vj in values[i + 1:]:
+            delta = abs(vi.value - vj.value)
+            pairs.append({
+                "methods": [vi.method, vj.method],
+                "relative_delta": delta / max(abs(vi.value), 1e-300),
+                "within_err": delta <= vi.error + vj.error,
+            })
+    payload["pairwise"] = pairs
+    return ("ok" if all(p["within_err"] for p in pairs) else "verification_failed"), payload
 
 
 def abszeta_zeta(args):

@@ -390,6 +390,82 @@ def test_mellin_against_mpmath():
     assert len(refused) <= len(points) // 20, refused
 
 
+@pytest.mark.parametrize("w,s", [(3.0, 1.0), (3 + 1j, 1.5 + 0.5j)], ids=["real", "complex"])
+def test_mellin_levels_skip_the_empty_range(monkeypatch, w, s):
+    # every node of x in [-9, 4] up to the stopping level is 209 integrand
+    # calls at the 1e-10 target and 417 at 1e-13; past level 0 the rule
+    # visits only the 7 units around the terms that count
+    rule, count = azw.abszeta.quad, [0]
+
+    def counting_quad(log_g, tol):
+        def counted(t, log_t):
+            count[0] += 1
+            return log_g(t, log_t)
+        return rule(counted, tol)
+
+    monkeypatch.setattr(azw.abszeta, "quad", counting_quad)
+    for policy, ceiling in ((QUICK, 150), (PrecisionPolicy(target=1e-13), 250)):
+        count[0] = 0
+        got = absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), w, s, "mellin", policy)
+        want = absolute_hurwitz_Z(CyclotomicForm(0, (), (2, 2)), w, s, "structure", policy)
+        assert abs(got.value - want.value) <= got.error + want.error
+        assert count[0] <= ceiling, count[0]
+
+
+def _full_range_quad(log_g, tol: float) -> complex:
+    """The exp-sinh rule summed over every node of _DE_X_RANGE, with the
+    same stopping test on eps * h * sum |terms|: the reference the trimmed
+    rule is checked against."""
+    total, mag, previous = 0j, 0.0, None
+    for level in range(azw.abszeta._DE_MAX_LEVEL + 1):
+        for log_t, t, weight in azw.abszeta._de_nodes(level):
+            exponent = log_g(t, log_t) + log_t
+            if exponent.real > -745.0:
+                term = cmath.exp(exponent) * weight
+                total += term
+                mag += abs(term)
+        h = 2.0 ** -level
+        value = h * total
+        if previous is not None and abs(value - previous) <= (
+                tol * abs(value) + sys.float_info.epsilon * h * mag):
+            return value
+        previous = value
+    raise QuadratureBudgetError("full-range levels never agree")
+
+
+def test_trimmed_mellin_rule_within_err_of_the_full_range(monkeypatch):
+    # the trimmed sum lies within its err of the sum over every node, and
+    # both refuse the same integrands; the points include complex w and s,
+    # and s = 1e10, where no two levels agree
+    rule, calls = azw.abszeta.quad, []
+
+    def recording_quad(log_g, tol):
+        try:
+            result = rule(log_g, tol)
+        except QuadratureBudgetError as exc:
+            calls.append((log_g, tol, exc))
+            raise
+        calls.append((log_g, tol, result))
+        return result
+
+    monkeypatch.setattr(azw.abszeta, "quad", recording_quad)
+    points = _mellin_points(random.Random(1), 10) + [((0, (), (2, 2)), 3.0, 1e10)]
+    for (l, m, n), w, s in points:
+        try:
+            absolute_hurwitz_Z(CyclotomicForm(l, m, n), w, s, "mellin")
+        except AzwError:
+            pass
+    assert len(calls) == len(points)
+    assert isinstance(calls[-1][2], QuadratureBudgetError)
+    for log_g, tol, outcome in calls:
+        if isinstance(outcome, QuadratureBudgetError):
+            with pytest.raises(QuadratureBudgetError):
+                _full_range_quad(log_g, tol)
+            continue
+        value, err = outcome
+        assert abs(value - _full_range_quad(log_g, tol)) <= err
+
+
 SERIES_FORMS = ((0, (), (2, 2)), (0, (3,), (3, 3, 3)), (0, (), (2, 3)))
 
 

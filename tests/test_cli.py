@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -258,6 +258,28 @@ def test_abszeta_Z_all_methods():
     _, payload = _payload(result)
     assert [r["method"] for r in payload["results"]] == ["structure", "series", "mellin"]
     assert all(d["relative_delta"] <= 1e-6 for d in payload["pairwise"])
+    assert all(d["within_err"] for d in payload["pairwise"])
+
+
+def test_abszeta_Z_all_methods_fails_when_a_pair_disagrees(monkeypatch):
+    # one method off by 1e-9 relative, far beyond every err, breaks the
+    # two pairs it is in
+    import azw.abszeta
+
+    rule = azw.abszeta.absolute_hurwitz_Z
+
+    def shifted(form, w, s, method, policy):
+        z = rule(form, w, s, method, policy)
+        return replace(z, value=z.value * (1 + 1e-9)) if method == "series" else z
+
+    monkeypatch.setattr(azw.abszeta, "absolute_hurwitz_Z", shifted)
+    result = invoke(["abszeta", "Z", "--n", "2,2", "--w", "3", "--s", "1", "--method", "all"])
+    assert result.exit_code == 1
+    status, payload = _payload(result)
+    assert status == "verification_failed"
+    assert [(d["methods"], d["within_err"]) for d in payload["pairwise"]] == [
+        (["structure", "series"], False), (["structure", "mellin"], True),
+        (["series", "mellin"], False)]
 
 
 def test_abszeta_Z_unequal_exponents_all_methods():
@@ -268,6 +290,7 @@ def test_abszeta_Z_unequal_exponents_all_methods():
     _, payload = _payload(result)
     assert [r["method"] for r in payload["results"]] == ["structure", "series", "mellin"]
     assert all(d["relative_delta"] < 1e-12 for d in payload["pairwise"])
+    assert all(d["within_err"] for d in payload["pairwise"])
 
 
 def test_abszeta_zeta_unequal_exponents():
