@@ -20,8 +20,8 @@ plain attribute read. What a first access loads:
   `automorphic_data` and `CyclotomicForm.as_rational_function` add
   polynomials (with matrices and graphs) on their first call, never zeta.
 
-The submodule names in `__all__` resolve the same way. numpy is imported
-on first use (the float spectra of `azw.zeta`), never by an import.
+The submodule names in `__all__` resolve the same way. azw needs nothing
+outside the standard library: the spectra come from the exact charpolys.
 """
 
 from time import perf_counter as _perf_counter

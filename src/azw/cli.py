@@ -13,9 +13,10 @@ environment variable overrides the default PrecisionPolicy target.
 
 Each command imports only the modules it runs, before its timer starts,
 so they count in the `import` line and not in `elapsed`: `graph` loads
-azw.graphs; `zeta`, `verify` and `abszeta spectrum` azw.zeta (the
-spectrum numpy as well); `abszeta Z`, `abszeta zeta` and
-`verify functional-eq` azw.abszeta, which runs without the exact layer.
+azw.graphs; `zeta`, `verify` and `abszeta spectrum` azw.zeta;
+`abszeta Z`, `abszeta zeta` and `verify functional-eq` azw.abszeta,
+which runs without the exact layer. No command loads a package from
+outside the standard library.
 
 The parser accepts no abbreviated option and has `--help` but no `-h`.
 An option that takes a value takes the next token whatever it looks like,
@@ -257,13 +258,15 @@ def abszeta_zeta(args):
 
 
 def abszeta_spectrum(args):
-    """Grover spectrum of a graph, cross-checked against the mapped route."""
+    """Certified Grover spectrum of a graph, checked against the mapped route."""
     from .zeta import matched_spectra
 
     direct, mapped = matched_spectra(_load_graph(args.path))
     if args.csv:
-        rows = ["re,im,multiplicity"]
-        rows += [f"{value.real:.12g},{value.imag:.12g},{mult}" for value, mult in direct.entries]
+        # repr keeps each double whole, so every value is within its err
+        rows = ["re,im,multiplicity,err"]
+        rows += [f"{value.real!r},{value.imag!r},{mult},{err!r}"
+                 for (value, mult), err in zip(direct.entries, direct.err)]
         return "ok", "\n".join(rows)
     payload = direct.to_dict()
     payload["consistent_with_mapped_route"] = True
@@ -351,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
                    default="structure", help="(default: %(default)s)")
     _form_options(_command(abszeta, "zeta", abszeta_zeta, "azw.abszeta")).add_argument(
         "--s", type=float, required=True)
-    _path(_command(abszeta, "spectrum", abszeta_spectrum, "azw.zeta", "numpy")).add_argument(
+    _path(_command(abszeta, "spectrum", abszeta_spectrum, "azw.zeta")).add_argument(
         "--csv", action="store_true", help="Emit CSV rows instead of JSON.")
     return root
 

@@ -26,6 +26,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _iproduct
 
 from .errors import (
@@ -110,6 +111,32 @@ def _bernoulli_numbers(upto: int) -> list[Fraction]:
 _BERNOULLI = _bernoulli_numbers(30)
 # B_2j/(2j)! for j = 1..15 at index j - 1
 _HURWITZ_TAIL = tuple(float(_BERNOULLI[2 * j]) / math.factorial(2 * j) for j in range(1, 16))
+
+
+# zeta(-k, a) for k up to this is a Bernoulli polynomial of _BERNOULLI
+_EXACT_DEGREE = 28
+
+
+@lru_cache(maxsize=_EXACT_DEGREE + 1)
+def _bernoulli_ints(k: int) -> tuple[int, tuple[int, ...]]:
+    """(D, D c_i) for B_(k+1)(x) = sum_i c_i x^i, c_i = C(k+1, i) B_(k+1-i),
+    D the lcm of the c_i's denominators."""
+    coeffs = [math.comb(k + 1, i) * _BERNOULLI[k + 1 - i] for i in range(k + 2)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+
+def _bernoulli_value(k: int, a: float) -> float:
+    """zeta(-k, a) = -B_(k+1)(a) / (k+1) (DLMF 25.11.14), exact on the
+    binary rational a = n / 2^e and rounded once: Horner's rule gives the
+    integer D 2^(e(k+1)) B_(k+1)(a) from `_bernoulli_ints`."""
+    den, ints = _bernoulli_ints(k)
+    n, e = a.as_integer_ratio()
+    e = e.bit_length() - 1
+    acc = 0
+    for i in range(k + 1, -1, -1):
+        acc = acc * n + (ints[i] << e * (k + 1 - i))
+    return -acc / ((den * (k + 1)) << e * (k + 1))
 
 
 def _em_tail(acc: complex, s: complex, b: complex, order: int, deriv: bool = False,
@@ -224,7 +251,9 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy,
     the finite Laurent coefficient of the pole, -psi(a). A sum over the
     series budget is refused before any work; a term that overflows double
     precision raises DomainError, and a value below the smallest normal
-    double because big^(-s) underflowed raises PrecisionError.
+    double because big^(-s) underflowed raises PrecisionError. The value
+    at s = -k, 0 <= k <= _EXACT_DEGREE, and a real shift, alone or in a
+    pair, is instead the Bernoulli polynomial of `_bernoulli_value`.
     """
     a = complex(a)
     if a.imag == 0.0 and a.real <= 0 and float(a.real).is_integer():
@@ -250,6 +279,12 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy,
     values = pair or not deriv
     slopes = pair or deriv
     try:
+        bernoulli = None
+        if (values and s.imag == 0.0 and a.imag == 0.0 and s.real.is_integer()
+                and -_EXACT_DEGREE <= s.real <= 0):
+            bernoulli = complex(_bernoulli_value(int(-s.real), a.real))
+            if not slopes:
+                return bernoulli
         prefix = dprefix = 0j
         pulled = a
         while pulled.real < 1.0:
@@ -282,8 +317,9 @@ def _hurwitz_core(s: complex, a, deriv: bool, policy: PrecisionPolicy,
                     break
         big = pulled + count
         if pair:
-            return (_closed(partial, prefix, s, a, big, False, policy, early),
-                    _closed(dpartial, dprefix, s, a, big, True, policy, early))
+            value = (bernoulli if bernoulli is not None
+                     else _closed(partial, prefix, s, a, big, False, policy, early))
+            return value, _closed(dpartial, dprefix, s, a, big, True, policy, early)
         if deriv:
             return _closed(dpartial, dprefix, s, a, big, True, policy, early)
         return _closed(partial, prefix, s, a, big, False, policy, early)

@@ -19,17 +19,23 @@ primes, the pivot rule and the lift come from `matrices`, where
 `ExactRationalFunction.from_parts` looks for a common factor only when
 both sides have positive degree, and rescales only a denominator that is
 not yet monic.
+
+The spectra in `zeta` run on integer polynomials (lists of ints): Yun's
+squarefree factors, their gcds taken modulo the same word primes and
+accepted only when they divide exactly, and certified real-root
+brackets, each accepted on an exact sign change.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .errors import NonSquareError, PoleError
+from .errors import NonSquareError, PoleError, PrecisionError
 # _PRIMES and _prime are re-exported: the charpoly runs on these primes
 from .matrices import _PRIMES, ExactMatrix, _crt_lift, _prime, _unit_pivot  # noqa: F401
 
@@ -401,3 +407,258 @@ def poly_matrix_det(a1: ExactMatrix, a2: ExactMatrix) -> ExactPolynomial:
     bottom = [0] * (2 * n * n)
     bottom[::2 * n + 1] = [scale] * n
     return reversed_charpoly(ExactMatrix._from_ints(2 * n, 2 * n, scale, c + bottom))
+
+
+# Integer polynomials for the certified spectra: lists of ints in
+# ascending powers with a nonzero top coefficient, the empty list for 0.
+
+def _trim_ints(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _divide_monic(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b for a monic b, or None when b leaves a remainder."""
+    a = list(a)
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if any(a) else []
+    quot = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = quot[k] = a[k + db]
+        if c:
+            for j in range(db):
+                a[k + j] -= c * b[j]
+    return None if any(a[:db]) else quot
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b modulo the prime p, a nonzero mod p."""
+    a = _trim_ints([x % p for x in a])
+    b = _trim_ints([x % p for x in b])
+    while b:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:
+            c = a.pop() * inv % p
+            if c:
+                off = len(a) - db
+                for j in range(db):
+                    a[off + j] = (a[off + j] - c * b[j]) % p
+            _trim_ints(a)
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _int_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g) for g the monic gcd over Z of a monic a and any b.
+
+    g is taken modulo word primes (`_prime`). A prime can only raise the
+    degree of the gcd, so residues of the lowest degree seen are joined by
+    Chinese remaindering, and the symmetric lift is accepted once it
+    divides a and b exactly: it then divides their gcd and has no lower
+    degree, so it is the gcd.
+    """
+    if not b:
+        return list(a), [1], []
+    modulus, i = 1, 0
+    while True:
+        p = _prime(i)
+        i += 1
+        g = _gcd_mod(a, b, p)
+        if modulus == 1 or len(g) < len(res):
+            modulus, res = p, g
+        elif len(g) > len(res):
+            continue
+        else:
+            inv = pow(modulus, -1, p)
+            res = [x + modulus * ((y - x) * inv % p) for x, y in zip(res, g)]
+            modulus *= p
+        half = modulus // 2
+        lift = [x - modulus if x > half else x for x in res]
+        qa = _divide_monic(a, lift)
+        if qa is not None:
+            qb = _divide_monic(b, lift)
+            if qb is not None:
+                return lift, qa, qb
+
+
+def _squarefree_factors(f: list[int]) -> list[tuple[int, list[int]]]:
+    """[(k, f_k)] with f = prod f_k^k for a monic integer f, each f_k monic,
+    squarefree, of positive degree and prime to the others (Yun's
+    algorithm, every gcd from `_int_gcd`)."""
+    out = []
+    _, b, c = _int_gcd(f, _derivative(f))
+    k = 1
+    while len(b) > 1:
+        db = _derivative(b)
+        d = _trim_ints([(c[i] if i < len(c) else 0) - (db[i] if i < len(db) else 0)
+                        for i in range(max(len(c), len(db)))])
+        g, b, c = _int_gcd(b, d)
+        if len(g) > 1:
+            out.append((k, g))
+        k += 1
+    return out
+
+
+def _value_at(a: list[int], num: int, shift: int) -> int:
+    """2^(shift*deg a) * a(num / 2^shift), an int."""
+    acc = a[-1]
+    for k, c in enumerate(reversed(a[:-1]), 1):
+        acc = acc * num + (c << shift * k)
+    return acc
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """(num, shift) with x = num / 2^shift."""
+    num, den = x.as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
+def _float_above(num: int, den: int) -> float:
+    """The least float at or above num/den, den > 0."""
+    x = num / den
+    a, b = x.as_integer_ratio()
+    return math.nextafter(x, math.inf) if a * den < num * b else x
+
+
+def _rational_root(num: int, den: int) -> tuple[float, float]:
+    """(v, err) for the root num/den: the nearest float and its exact
+    distance, rounded up; err is 0 when v is the root."""
+    v = num / den
+    a, b = v.as_integer_ratio()
+    return v, _float_above(abs(a * den - num * b), b * den)
+
+
+def _changes_sign(a: list[int], v: float, err: float, scale: int) -> bool:
+    """a has a root y with |y/scale - v| <= err: its exact values at the
+    two ends have opposite signs, or one is 0."""
+    nv, sv = _dyadic(v)
+    ne, se = _dyadic(err)
+    shift = max(sv, se)
+    nv <<= shift - sv
+    ne <<= shift - se
+    x, y = (_value_at(a, scale * n, shift) for n in (nv - ne, nv + ne))
+    return not x or not y or (x < 0) != (y < 0)
+
+
+def _disjoint(brackets: list[tuple[float, float]]) -> bool:
+    """No two of the intervals v +- err, sorted by v, meet. The float test
+    keeps a factor 2 over rounding."""
+    return all(b[0] - a[0] > 2 * (a[1] + b[1]) for a, b in zip(brackets, brackets[1:]))
+
+
+# The root search stops after a Newton step this small.
+_SEARCH_STEP = 2.0 ** -40
+# each failed bracket grows by this factor, at most _BRACKET_TRIES times
+_BRACKET_GROWTH = 16.0
+_BRACKET_TRIES = 6
+
+
+def _real_roots(h: list[int], bound: int) -> list[tuple[float, float]]:
+    """(v, err) for each root y of h: |y/bound - v| <= err, certified.
+
+    h is monic, squarefree, with integer coefficients and only real
+    roots, all in [-bound, bound]. An integer root (the only rational
+    kind a monic integer h has) is exact, with err 0 when y/bound is a
+    float. Degree 2 is closed: the square root comes from `isqrt`. Above
+    that, a Newton search deflated by Maehly's correction finds the roots
+    of p(t) = h(bound t) / bound^d from t = 1 down. A step is taken on
+    floats where Horner's rounding bound leaves it sure, and on exact
+    values of p and p' otherwise: near a root always, and everywhere on
+    the high-degree factors whose monomial coefficients dwarf their
+    values on [-1, 1], so the search ends within a few ulps. The bracket
+    [v - err, v + err], from 2 ulps up, is accepted when h changes sign
+    across it, exactly. Brackets are disjoint, so each holds one root. A
+    root that cannot be bracketed raises PrecisionError.
+    """
+    d = len(h) - 1
+    if d == 1:
+        return [_rational_root(-h[0], bound)]
+    if d == 2:
+        c, b = h[0], h[1]
+        disc = b * b - 4 * c
+        root = isqrt(disc)
+        if root * root == disc:
+            return [_rational_root(-b + root, 2 * bound), _rational_root(-b - root, 2 * bound)]
+        # sqrt(disc) lies strictly between r/2^64 and (r+1)/2^64
+        r, den = isqrt(disc << 128), bound << 65
+        out = []
+        for lo in (-(b << 64) + r, -(b << 64) - r - 1):
+            v = (2 * lo + 1) / (2 * den)
+            a, q = v.as_integer_ratio()
+            out.append((v, _float_above(max(abs(a * den - lo * q), abs(a * den - (lo + 1) * q)),
+                                        q * den)))
+        return out
+    coeffs = [h[i] / bound ** (d - i) for i in range(d + 1)]
+    dh = _derivative(h)
+    # Horner's rounding is below 4 d eps times the sum of the moduli of
+    # the terms. A float Newton step is taken when that leaves it sure to
+    # 2^-10 relative, enough to keep the double steps below the next root.
+    noise = 4 * d * 2.0 ** -53 * 2.0 ** 10
+
+    def newton_step(x: float, found: list[float]) -> float:
+        """p / (p' - p sum 1/(x - r)), the Newton step on p deflated by the
+        roots found, from exact values of p and p' where floats are not
+        sure enough."""
+        p = dp = size = dsize = 0.0
+        ax = abs(x)
+        for c in reversed(coeffs):
+            dp = dp * x + p
+            dsize = dsize * ax + size
+            p = p * x + c
+            size = size * ax + abs(c)
+        pole = 0.0
+        for r in found:
+            if x != r:
+                pole += 1.0 / (x - r)
+        den = dp - p * pole
+        if abs(p) <= noise * size or abs(den) <= noise * (dsize + size * abs(pole)):
+            num, shift = _dyadic(x)
+            y = bound * num
+            p = _value_at(h, y, shift) / (bound ** d << shift * d)
+            den = _value_at(dh, y, shift) / (bound ** (d - 1) << shift * (d - 1)) - p * pole
+        return p / den if den else 0.0
+
+    found: list[float] = []
+    x = 1.0
+    for _ in range(d):
+        # double steps until one overshoots the root, which leaves x above
+        # the next root (Stoer-Bulirsch 5.5), then plain Newton steps; a
+        # last step below _SEARCH_STEP leaves an error near its square
+        last, stride = math.inf, 2.0
+        while True:
+            step = newton_step(x, found)
+            if step < 0 and stride > 1:
+                last, stride = math.inf, 1.0
+            if not abs(step) < last:
+                break
+            x -= stride * step
+            last = abs(step)
+            if last <= _SEARCH_STEP:
+                break
+        found.append(x)
+        x += 2.0 ** -20  # above the root just found, so above the next
+    out = []
+    for v in found:
+        y = round(v * bound)
+        if abs(v * bound - y) <= 2.0 ** -20 * bound and not _value_at(h, y, 0):
+            out.append(_rational_root(y, bound))
+            continue
+        err = 2 * math.ulp(v)
+        for _ in range(_BRACKET_TRIES):
+            if _changes_sign(h, v, err, bound):
+                break
+            err *= _BRACKET_GROWTH
+        else:
+            raise PrecisionError(f"no sign change of the charpoly around {v}")
+        out.append((v, err))
+    out.sort()
+    if not _disjoint(out):
+        raise PrecisionError("two roots of a squarefree charpoly factor share a bracket")
+    return out

@@ -7,8 +7,8 @@ random-walk spectra, the reduced-cycle series definition, and the
 reciprocal-argument automorphy certificate.
 
 Everything marked "exact" below is checked in rational arithmetic with no
-tolerance; spectra are floating, clustered and matched within the one
-constant SPECTRUM_CLUSTER_TOL.
+tolerance. Spectra come from the exact charpolys: multiplicities are
+exact, and each eigenvalue is a double with a certified `err`.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ from .matrices import (
 from .polynomials import (
     ExactPolynomial,
     ExactRationalFunction,
+    _changes_sign,
+    _disjoint,
+    _dyadic,
+    _float_above,
+    _real_roots,
+    _squarefree_factors,
     poly_matrix_det,
     reversed_charpoly,
 )
-
-SPECTRUM_CLUSTER_TOL = 1e-8
-UNIT_CIRCLE_TOL = 1e-10
-
 
 def grover_zeta(g: Graph) -> ExactRationalFunction:
     """1 / det(I - u U) for the Grover walk operator U of g.
@@ -292,12 +294,13 @@ def verify_ihara_series(g: Graph, r_max: int = 6) -> CycleSeriesReport:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalue clusters with multiplicities, provenance and the
-    clustering tolerance (always SPECTRUM_CLUSTER_TOL)."""
+    """Eigenvalues with multiplicities and provenance. err[i] bounds the
+    distance from entries[i]'s value to the eigenvalue it stands for,
+    rounding included, so it is 0 only where the double is exact."""
 
     entries: tuple[tuple[complex, int], ...]
+    err: tuple[float, ...]
     source: str  # "direct" | "konno_sato_mapped"
-    tolerance: float
 
     @property
     def dimension(self) -> int:
@@ -306,117 +309,211 @@ class SpectrumReport:
     def to_dict(self) -> dict:
         return {
             "source": self.source,
-            "tolerance": self.tolerance,
             "eigenvalues": [
-                {"value": [value.real, value.imag], "multiplicity": mult}
-                for value, mult in self.entries
+                {"value": [value.real, value.imag], "multiplicity": mult, "err": err}
+                for (value, mult), err in zip(self.entries, self.err)
             ],
         }
 
 
-def _sorted_report(entries, source: str) -> SpectrumReport:
-    return SpectrumReport(entries=tuple(sorted(entries, key=lambda e: (e[0].real, e[0].imag))),
-                          source=source, tolerance=SPECTRUM_CLUSTER_TOL)
+def _sorted_report(entries: list, err: list, source: str) -> SpectrumReport:
+    order = sorted(range(len(entries)), key=lambda i: (entries[i][0].real, entries[i][0].imag))
+    return SpectrumReport(entries=tuple(entries[i] for i in order),
+                          err=tuple(err[i] for i in order), source=source)
 
 
-def _cluster(values: list[complex], source: str) -> SpectrumReport:
-    # Greedy clustering against running means; each cluster is [sum, count]
-    # with the sum started from 0j, as sum() starts. Sorted order alone is
-    # not reliable when real parts differ only by solver noise.
-    clusters: list[list] = []
-    for z in sorted(values, key=lambda z: (z.real, z.imag)):
-        for c in clusters:
-            if abs(z - c[0] / c[1]) <= SPECTRUM_CLUSTER_TOL:
-                c[0] += z
-                c[1] += 1
-                break
-        else:
-            clusters.append([0j + z, 1])
-    return _sorted_report([(total / count, count) for total, count in clusters], source)
+def _walk_charpoly(g: Graph) -> tuple[int, list[int]]:
+    """(L, det(yI - L P)): L the lcm of the degrees, the charpoly monic with
+    integer coefficients, in ascending powers of y.
 
-
-def spectrum(g: Graph) -> SpectrumReport:
-    """Eigenvalues of the Grover operator, clustered from a dense solve."""
-    import numpy as np
-
-    rows = grover_matrix(g).to_float_rows()
-    if not rows:  # the one-vertex graph: numpy reads [] as a 1-D array
-        return _cluster([], "direct")
-    vals = np.linalg.eigvals(np.array(rows, dtype=float))
-    return _cluster([complex(v) for v in vals], "direct")
-
-
-def _transition_eigenvalues(g: Graph) -> list[float]:
-    """Eigenvalues of P from its symmetric conjugate D^(-1/2) A D^(-1/2),
-    which has the same spectrum and keeps the solve real-symmetric."""
-    import numpy as np
-
-    if min(g.degrees()) == 0:
-        # only the single-vertex graph; P has a row of zeros there
-        raise InvalidParameterError("random walk needs every vertex to have a neighbour")
-    adj, _ = adjacency_and_degree(g)
-    a = np.array(adj.to_float_rows(), dtype=float)
-    d = np.array([float(x) for x in g.degrees()])
-    scal = 1.0 / np.sqrt(d)
-    sym = a * scal[:, None] * scal[None, :]
-    return [float(v) for v in np.linalg.eigvalsh(sym)]
+    det(I - uP) has e_k / L^k at u^k, and det(yI - L P) has e_k at y^(n-k).
+    """
+    walk = transition_matrix(g)
+    scale = walk.integer_form[0]
+    coeffs = reversed_charpoly(walk).coeffs
+    e = [c.numerator * (scale ** k // c.denominator) for k, c in enumerate(coeffs)]
+    return scale, [0] * (g.n + 1 - len(e)) + e[::-1]
 
 
 def transition_spectrum(g: Graph) -> SpectrumReport:
-    """Eigenvalues of the random-walk transition matrix."""
-    return _cluster([complex(v) for v in _transition_eigenvalues(g)], "direct")
+    """Eigenvalues of the random-walk transition matrix P, certified.
+
+    They are y / L over the roots y of det(yI - L P), which are real, as P
+    is similar to the symmetric D^(-1/2) A D^(-1/2), and lie in [-L, L].
+    Yun's squarefree factors of that integer charpoly give the exact
+    multiplicities, and `_real_roots` brackets each factor's roots: mu = +1
+    and -1, like every rational eigenvalue, come out exact.
+    """
+    scale, charpoly = _walk_charpoly(g)
+    entries, err = [], []
+    for mult, factor in _squarefree_factors(charpoly):
+        for value, bound in _real_roots(factor, scale):
+            entries.append((complex(value), mult))
+            err.append(bound)
+    return _sorted_report(entries, err, "direct")
+
+
+def _on_circle(v: float, err: float) -> tuple[float, float]:
+    """(s, bound): s = sqrt(1 - v^2), and a bound on |v + is - lambda| for
+    every lambda = mu + i sqrt(1 - mu^2) with mu in [-1, 1] within err of v.
+
+    |s - sqrt(1 - mu^2)| <= |s^2 - (1 - mu^2)| / s and |v^2 - mu^2| <=
+    err (2|v| + err); the bound err + that is summed exactly on the
+    doubles' dyadic values and rounded up, so it is 0 when v + is is exact.
+    """
+    if not -1.0 < v < 1.0:
+        raise SpectralMismatchError(f"walk eigenvalue {v} +- {err} is not inside (-1, 1)")
+    s = math.sqrt(1.0 - v * v)
+    (nv, sv), (ne, se), (ns, ss) = map(_dyadic, (v, err, s))
+    shift = max(sv, se, ss)
+    nv, ne, ns = nv << shift - sv, ne << shift - se, ns << shift - ss
+    one = 1 << shift
+    gap = abs(ns * ns - one * one + nv * nv) + ne * (2 * abs(nv) + ne)
+    return s, _float_above(ne * ns + gap, ns * one)
 
 
 def spectrum_via_konno_sato(g: Graph) -> SpectrumReport:
-    """Grover spectrum obtained by mapping the clustered random-walk spectrum.
+    """Grover spectrum mapped from the certified random-walk spectrum.
 
-    Each transition cluster (mu, k) maps to the roots of
-    lambda^2 - 2 mu lambda + 1, (mu +/- i sqrt(1 - mu^2), k); a mu within
-    SPECTRUM_CLUSTER_TOL of +1 or -1 adds 2k to that unit's count instead.
-    The (lambda^2 - 1)^(m-n) factor adds m - n to both counts; one left
+    Each walk eigenvalue (mu, k) other than +-1 maps to the roots of
+    lambda^2 - 2 mu lambda + 1, (mu +/- i sqrt(1 - mu^2), k), with the err
+    of `_on_circle`. mu = +1 or -1 is decided exactly: an entry with err 0
+    is its double, and it adds 2k to that unit's count. The
+    (lambda^2 - 1)^(m-n) factor adds m - n to both counts; one left
     negative (a tree lacking mu = +-1) raises SpectralMismatchError.
     """
     units = {1.0: g.m - g.n, -1.0: g.m - g.n}
-    entries: list[tuple[complex, int]] = []
-    for mu, k in transition_spectrum(g).entries:
-        unit = next((u for u in units if abs(mu - u) <= SPECTRUM_CLUSTER_TOL), None)
-        if unit is not None:
-            units[unit] += 2 * k
+    entries, err = [], []
+    walk = transition_spectrum(g)
+    for (mu, k), bound in zip(walk.entries, walk.err):
+        if not bound and mu.real in units:
+            units[mu.real] += 2 * k
             continue
-        root = math.sqrt(max(0.0, 1.0 - mu.real * mu.real))
-        entries += [(complex(mu.real, root), k), (complex(mu.real, -root), k)]
+        s, bound = _on_circle(mu.real, bound)
+        entries += [(complex(mu.real, s), k), (complex(mu.real, -s), k)]
+        err += [bound, bound]
     for unit, count in units.items():
         if count < 0:
             raise SpectralMismatchError(
                 f"eigenvalue {unit} has multiplicity {count} after the m - n shift")
         if count:
             entries.append((complex(unit), count))
-    return _sorted_report(entries, "konno_sato_mapped")
+            err.append(0.0)
+    return _sorted_report(entries, err, "konno_sato_mapped")
+
+
+def _trace_polynomial(chi: list[int], scale: int) -> list[int]:
+    """The monic Q(z) = prod_i (z - scale x_i) for a self-reciprocal
+    chi(lambda) = c prod_i (lambda^2 - x_i lambda + 1) of degree 2h.
+
+    With T_0 = 2, T_1 = x and T_(j+1) = x T_j - T_(j-1), so that
+    T_j(lambda + 1/lambda) = lambda^j + lambda^-j, chi = lambda^h q(x) at
+    x = lambda + 1/lambda for q = chi_h + sum_(j>=1) chi_(h+j) T_j. Then
+    Q(z) = scale^h q(z / scale) / c. For a Grover operator over the lcm
+    `scale` of its entry denominators each scale x_i is an algebraic
+    integer, so Q has integer coefficients; SpectralMismatchError if not.
+    """
+    half = len(chi) // 2
+    q = [chi[half]]
+    older, t = [2], [0, 1]
+    for j in range(half + 1, len(chi)):
+        q += [0] * (len(t) - len(q))
+        for i, x in enumerate(t):
+            q[i] += chi[j] * x
+        nxt = [0] + t
+        for i, x in enumerate(older):
+            nxt[i] -= x
+        older, t = t, nxt
+    out = []
+    for i, x in enumerate(q):
+        num, rest = divmod(x * scale ** (half - i), chi[-1])
+        if rest:
+            raise SpectralMismatchError("det(lambda I - U) gives a non-integral trace polynomial")
+        out.append(num)
+    return out
+
+
+def spectrum(g: Graph, mapped: SpectrumReport | None = None) -> SpectrumReport:
+    """Eigenvalues of the Grover operator U, certified on det(lambda I - U).
+
+    Its exact factors lambda - 1 and lambda + 1 give the multiplicities of
+    +1 and -1. U is orthogonal, so the rest must be self-reciprocal, with
+    a trace polynomial Q whose roots are 2L Re(lambda) over the other
+    eigenvalue pairs (`_trace_polynomial`, L the lcm of U's entry
+    denominators); Yun's squarefree factors of Q give their
+    multiplicities. The values are not searched for again: each value of
+    `mapped` (the Konno-Sato spectrum when None) above the real axis names
+    an interval Re(lambda) +- err, and one factor of Q must change sign
+    across it, exactly, each factor on as many disjoint intervals as its
+    degree. So each interval holds one root of Q, and the pair it stands
+    for gets the err of `_on_circle`. Any failure raises
+    SpectralMismatchError.
+    """
+    u = grover_matrix(g)
+    scale = u.integer_form[0]
+    ints = reversed_charpoly(u).integer_form[1]
+    chi = [0] * (u.rows + 1 - len(ints)) + ints[::-1]  # det(lambda I - U), scaled
+    units = {1: 0, -1: 0}
+    for unit in units:
+        while True:  # synthetic division by lambda - unit; rest[-1] is chi(unit)
+            rest, acc = [], 0
+            for c in reversed(chi):
+                acc = acc * unit + c
+                rest.append(acc)
+            if rest[-1]:
+                break
+            chi = rest[-2::-1]
+            units[unit] += 1
+    if len(chi) % 2 == 0 or chi != chi[::-1]:
+        raise SpectralMismatchError("det(lambda I - U) over its factors lambda -+ 1 "
+                                    "is not self-reciprocal")
+    entries = [(complex(unit), k) for unit, k in units.items() if k]
+    err = [0.0] * len(entries)
+    if len(chi) == 1:
+        return _sorted_report(entries, err, "direct")
+    factors = sorted(_squarefree_factors(_trace_polynomial(chi, scale)),
+                     key=lambda f: -len(f[1]))
+    if mapped is None:
+        mapped = spectrum_via_konno_sato(g)
+    brackets = sorted((value.real, bound) for (value, _), bound in zip(mapped.entries, mapped.err)
+                      if value.imag > 0)
+    if not _disjoint(brackets):
+        raise SpectralMismatchError("the mapped eigenvalues' intervals overlap")
+    # a bracket goes to the first factor that changes sign across it: a
+    # factor with as many brackets as roots has no root in another's
+    found = {k: 0 for k, _ in factors}
+    for v, bound in brackets:
+        k = next((k for k, f in factors if _changes_sign(f, v, bound, 2 * scale)), None)
+        if k is None:
+            raise SpectralMismatchError(f"det(lambda I - U) has no root with real part "
+                                        f"{v} +- {bound}")
+        found[k] += 1
+        s, bound = _on_circle(v, bound)
+        entries += [(complex(v, s), k), (complex(v, -s), k)]
+        err += [bound, bound]
+    for k, f in factors:
+        if found[k] != len(f) - 1:
+            raise SpectralMismatchError(f"{found[k]} mapped eigenvalue pairs for the "
+                                        f"{len(f) - 1} of multiplicity {k}")
+    return _sorted_report(entries, err, "direct")
 
 
 def matched_spectra(g: Graph) -> tuple[SpectrumReport, SpectrumReport]:
-    """Direct and mapped Grover spectra, verified equal cluster by cluster.
+    """Direct and mapped Grover spectra, verified equal entry by entry.
 
-    Each direct cluster is paired with the nearest unused mapped cluster
-    of the same multiplicity within SPECTRUM_CLUSTER_TOL, and must lie on
-    the unit circle within UNIT_CIRCLE_TOL; equal dimensions then leave
-    no mapped cluster unpaired.
+    The direct spectrum certifies the mapped values on U's own charpoly
+    (`spectrum`), so both list the same values, and each multiplicity,
+    from det(lambda I - U) on one side and from the walk's charpoly with
+    the m - n shift on the other, must agree.
     """
-    direct = spectrum(g)
     mapped = spectrum_via_konno_sato(g)
+    direct = spectrum(g, mapped)
     if direct.dimension != mapped.dimension:
         raise SpectralMismatchError(f"dimension {direct.dimension} vs {mapped.dimension}")
-    unused = list(mapped.entries)
-    for value, mult in direct.entries:
-        near = [e for e in unused
-                if e[1] == mult and abs(e[0] - value) <= SPECTRUM_CLUSTER_TOL]
-        if not near:
-            raise SpectralMismatchError(
-                f"no mapped eigenvalue of multiplicity {mult} within "
-                f"{SPECTRUM_CLUSTER_TOL:.1e} of {value}")
-        unused.remove(min(near, key=lambda e: abs(e[0] - value)))
-        if abs(abs(value) - 1.0) > UNIT_CIRCLE_TOL:
-            raise SpectralMismatchError(f"eigenvalue {value} off the unit circle")
+    for a, b in zip(direct.entries, mapped.entries):
+        if a != b:
+            raise SpectralMismatchError(f"direct eigenvalue {a[0]} of multiplicity {a[1]} "
+                                        f"vs mapped {b[0]} of multiplicity {b[1]}")
     return direct, mapped
 
 

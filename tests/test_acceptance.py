@@ -98,7 +98,7 @@ def test_criterion_03_stated_spectra(corpus):
     for g in corpus.values():
         matched_spectra(g)  # raises on mismatch
     _report(3, "C4 spectra match the stated multisets (1e-10); mapped = direct "
-               "on the corpus (1e-8)", ok)
+               "on the corpus (certified)", ok)
 
 
 def test_criterion_04_automorphy(corpus):

@@ -467,9 +467,9 @@ def test_abszeta_spectrum_csv(cycle4_file):
     result = invoke(["abszeta", "spectrum", cycle4_file, "--csv"])
     assert result.exit_code == 0
     lines = result.stdout.strip().splitlines()
-    assert lines[0] == "re,im,multiplicity"
+    assert lines[0] == "re,im,multiplicity,err"
     assert len(lines) == 5
-    assert all(line.endswith(",2") for line in lines[1:])
+    assert all(line.split(",")[2] == "2" for line in lines[1:])
 
 
 @pytest.mark.parametrize("csv", [(), ("--csv",)], ids=["json", "csv"])

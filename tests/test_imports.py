@@ -1,14 +1,15 @@
-"""numpy loads on first use, scipy never, and `quad` stays patchable.
+"""Neither numpy nor scipy ever loads, and `quad` stays patchable.
 
 The charpoly primes are also found on first use, never at import. Each
 CLI command loads only the azw modules it runs, and `import azw` none:
 the package resolves its public names on first access, and those names,
 `from azw import *` included, are the objects of their home modules.
 
-`import azw` must not pay for numpy: only the float spectra use it. The
-Mellin method runs on azw's own exp-sinh rule, so scipy stays unloaded
-even after a Mellin call. The check runs in a fresh interpreter, because
-this test session may have loaded both.
+azw has no runtime dependency: the spectra come from the exact
+charpolys, and the Mellin method runs on azw's own exp-sinh rule, so
+numpy and scipy stay unloaded even after a spectrum and a Mellin call.
+The check runs in a fresh interpreter, because this test session may
+have loaded both.
 """
 
 import json
@@ -51,7 +52,7 @@ def test_import_azw_cli_loads_neither_numpy_nor_scipy():
         "after import: []",
         "multiplicities: [2, 2, 2, 2]",
         "mellin: mellin True",
-        "after use: ['numpy']",
+        "after use: []",
     ]
 
 
@@ -203,5 +204,5 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
     assert code == 0
     assert [m for m in loaded if m == "azw" or m.startswith("azw.")] == modules
     assert not any(m == "click" or m.startswith("click.") for m in loaded)
-    assert ("numpy" in loaded) == (argv[:2] == ["abszeta", "spectrum"])
+    assert not any(m == "numpy" or m.startswith("numpy.") for m in loaded)
 

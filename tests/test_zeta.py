@@ -1,6 +1,7 @@
 import warnings
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +14,7 @@ from azw import (
     automorphic_weight,
     count_reduced_cycles,
     generate,
+    grover_matrix,
     grover_zeta,
     ihara_zeta,
     log_zeta_series,
@@ -202,7 +204,7 @@ def test_mapped_tree_without_unit_eigenvalue_raises(monkeypatch):
     # shift leaves +1 with multiplicity -1
     real = transition_spectrum(generate("complete", 2))
     lacking = SpectrumReport(entries=((-1 + 0j, 1), (0j, 1)), source=real.source,
-                             tolerance=real.tolerance)
+                             err=(0.0, 0.0))
     monkeypatch.setattr(azw.zeta, "transition_spectrum", lambda g: lacking)
     with pytest.raises(SpectralMismatchError):
         spectrum_via_konno_sato(generate("complete", 2))
@@ -213,7 +215,7 @@ def test_matched_spectra_rejects_changed_multiplicity(monkeypatch, changes):
     g = generate("cycle", 4)
     real = spectrum_via_konno_sato(g)
     entries = tuple((v, changes.get(i, m)) for i, (v, m) in enumerate(real.entries))
-    changed = SpectrumReport(entries=entries, source=real.source, tolerance=real.tolerance)
+    changed = SpectrumReport(entries=entries, source=real.source, err=real.err)
     monkeypatch.setattr(azw.zeta, "spectrum_via_konno_sato", lambda g: changed)
     with pytest.raises(SpectralMismatchError):
         matched_spectra(g)
@@ -228,6 +230,142 @@ def test_one_vertex_graph_spectra():
         for call in (transition_spectrum, spectrum_via_konno_sato, matched_spectra):
             with pytest.raises(InvalidParameterError):
                 call(g)
+
+
+# mpmath's eigenvalues at 30 digits are good to about 1e-28
+REFERENCE_SLACK = 1e-25
+
+
+def _walk_reference(g) -> list:
+    """The eigenvalues of D^(-1/2) A D^(-1/2), which P shares, by mpmath's
+    symmetric solver at 30 digits."""
+    with mpmath.workdps(30):
+        deg = g.degrees()
+        a = mpmath.zeros(g.n)
+        for u, v in g.edges:
+            a[u, v] = a[v, u] = 1 / mpmath.sqrt(deg[u] * deg[v])
+        return [mpmath.mpf(x) for x in mpmath.eigsy(a, eigvals_only=True)]
+
+
+def _grover_reference(g, walk: list) -> list:
+    """mu +- i sqrt(1 - mu^2) over the walk eigenvalues other than +-1, and
+    +-1 with multiplicity m - n plus twice theirs (Konno-Sato)."""
+    units = {1: g.m - g.n, -1: g.m - g.n}
+    out = []
+    with mpmath.workdps(30):
+        for mu in walk:
+            unit = next((u for u in units if abs(mu - u) < 1e-20), None)
+            if unit is not None:
+                units[unit] += 2
+                continue
+            s = mpmath.sqrt(1 - mu * mu)
+            out += [mpmath.mpc(mu, s), mpmath.mpc(mu, -s)]
+    return out + [mpmath.mpc(u) for u, k in units.items() for _ in range(k)]
+
+
+def _assert_within_err(report, reference, label):
+    """Every entry holds exactly its multiplicity of reference values
+    within its err, and no reference value is left over."""
+    held = 0
+    for (value, mult), err in zip(report.entries, report.err):
+        near = sum(1 for ref in reference if abs(value - ref) <= err + REFERENCE_SLACK)
+        assert near == mult, (label, report.source, value, mult, err)
+        held += near
+    assert held == len(reference) == report.dimension, (label, report.source)
+
+
+def _assert_spectra_certified(g, label):
+    walk = _walk_reference(g)
+    _assert_within_err(transition_spectrum(g), walk, label)
+    grover = _grover_reference(g, walk)
+    for report in matched_spectra(g):
+        _assert_within_err(report, grover, label)
+
+
+def test_spectra_within_err_of_mpmath_on_corpus(corpus):
+    for name, g in corpus.items():
+        _assert_spectra_certified(g, name)
+
+
+@given(connected_graphs(max_n=6))
+@settings(max_examples=10, deadline=None)
+def test_spectra_within_err_of_mpmath_on_random_graphs(g):
+    _assert_spectra_certified(g, g.edges)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12, 36, 100])
+def test_cycle_walk_spectrum_is_cos_2pi_k_over_n(n):
+    rep = transition_spectrum(generate("cycle", n))
+    mults: dict[int, int] = {}
+    for k in range(n):
+        mults[min(k, n - k)] = mults.get(min(k, n - k), 0) + 1
+    # cos(2 pi k / n) falls as k runs from 0 to n/2
+    got = sorted(zip(rep.entries, rep.err), key=lambda e: -e[0][0].real)
+    assert [mult for (_, mult), _ in got] == [mults[k] for k in sorted(mults)]
+    with mpmath.workdps(30):
+        for ((value, _), err), k in zip(got, sorted(mults)):
+            assert value.imag == 0
+            assert abs(value.real - mpmath.cos(2 * mpmath.pi * k / n)) <= err + REFERENCE_SLACK
+
+
+def _exact_entries(report) -> list[tuple[Fraction, int]]:
+    """(the rational each entry stands for, multiplicity), checking that
+    its err is the exact rounding gap, which is 0 for a float value."""
+    out = []
+    for (value, mult), err in zip(report.entries, report.err):
+        q = Fraction(value.real).limit_denominator(100)
+        assert value.imag == 0 and abs(Fraction(value.real) - q) <= err <= 2.0 ** -54
+        assert (err == 0) == (Fraction(value.real) == q)
+        out.append((q, mult))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_complete_graph_walk_spectrum(n):
+    rep = transition_spectrum(generate("complete", n))
+    assert _exact_entries(rep) == [(Fraction(-1, n - 1), n - 1), (Fraction(1), 1)]
+
+
+def test_petersen_walk_spectrum():
+    rep = transition_spectrum(generate("petersen"))
+    assert _exact_entries(rep) == [(Fraction(-2, 3), 4), (Fraction(1, 3), 5), (Fraction(1), 1)]
+
+
+@pytest.mark.parametrize("name", ["C5", "K4", "petersen"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_matched_spectra_rejects_a_perturbed_grover_charpoly(monkeypatch, corpus, name, where):
+    # one coefficient of det(I - uU) off by one, the walk side untouched
+    g = corpus[name]
+    u = grover_matrix(g)
+    k = {"first": 1, "middle": g.m, "last": 2 * g.m}[where]
+    real = azw.zeta.reversed_charpoly
+
+    def perturbed(matrix):
+        p = real(matrix)
+        if matrix != u:
+            return p
+        coeffs = list(p.coeffs)
+        coeffs[k] += 1
+        return P(coeffs)
+
+    monkeypatch.setattr(azw.zeta, "reversed_charpoly", perturbed)
+    with pytest.raises(SpectralMismatchError):
+        matched_spectra(g)
+
+
+def test_matched_spectra_rejects_a_moved_mapped_value(monkeypatch):
+    # the direct side certifies the mapped values on U's own charpoly, so a
+    # pair moved by far more than its err finds no root there
+    g = generate("petersen")
+    real = spectrum_via_konno_sato(g)
+    i = next(i for i, (v, _) in enumerate(real.entries) if v.imag > 0)
+    moved = list(real.entries)
+    v, mult = moved[i]
+    moved[i] = (complex(v.real + 1e-9, v.imag), mult)
+    changed = SpectrumReport(entries=tuple(moved), source=real.source, err=real.err)
+    monkeypatch.setattr(azw.zeta, "spectrum_via_konno_sato", lambda g: changed)
+    with pytest.raises(SpectralMismatchError):
+        matched_spectra(g)
 
 
 def test_matched_spectra_on_corpus(corpus):
