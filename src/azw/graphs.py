@@ -133,46 +133,61 @@ def arc_table(g: Graph) -> ArcTable:
     return ArcTable(arcs=tuple(arcs))
 
 
+# generate's largest member: 10^6 edges take about 370 MB to build
+_MAX_EDGES = 10 ** 6
+
+
 def generate(family: str, *params: int) -> Graph:
     """Build a canonical member of a named graph family.
 
     Families: cycle(n>=3), path(n>=2), complete(n>=2),
-    complete_bipartite(a>=1, b>=1), star(leaves>=1), petersen().
+    complete_bipartite(a>=1, b>=1), star(leaves>=1), petersen(). A member
+    with more than 10^6 edges is refused before its edge list is built.
     """
     def need(count):
         if len(params) != count:
             raise InvalidParameterError(
                 f"family {family!r} takes {count} parameter(s), got {len(params)}")
 
+    def cap(m):
+        if m > _MAX_EDGES:
+            raise InvalidParameterError(
+                f"family {family!r} member has {m} edges, more than {_MAX_EDGES}")
+
     if family == "cycle":
         need(1)
         n = params[0]
         if n < 3:
             raise InvalidParameterError("cycle needs n >= 3")
+        cap(n)
         return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
     if family == "path":
         need(1)
         n = params[0]
         if n < 2:
             raise InvalidParameterError("path needs n >= 2")
+        cap(n - 1)
         return build_graph(n, [(i, i + 1) for i in range(n - 1)])
     if family == "complete":
         need(1)
         n = params[0]
         if n < 2:
             raise InvalidParameterError("complete needs n >= 2")
+        cap(n * (n - 1) // 2)
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if family == "complete_bipartite":
         need(2)
         a, b = params
         if a < 1 or b < 1:
             raise InvalidParameterError("complete_bipartite needs both parts >= 1")
+        cap(a * b)
         return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     if family == "star":
         need(1)
         k = params[0]
         if k < 1:
             raise InvalidParameterError("star needs >= 1 leaf")
+        cap(k)
         return build_graph(k + 1, [(0, i + 1) for i in range(k)])
     if family == "petersen":
         need(0)

@@ -274,10 +274,6 @@ class ExactMatrix:
         return ExactMatrix._from_ints(self.rows, cols,
                                       self.integer_form[0] * other.integer_form[0], out)
 
-    def to_float_rows(self) -> list[list[float]]:
-        scale = self.integer_form[0]
-        return [[x / scale for x in row] for row in self.integer_rows()]
-
     def to_json(self) -> str:
         """Row-major dump, entries as "p/q" strings in lowest terms."""
         return json.dumps({

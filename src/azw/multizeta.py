@@ -93,6 +93,8 @@ class MultiZetaParams:
             raise InvalidParameterError("period count must equal the order")
         if not all(isinstance(w, numbers.Real) and 0 < w < math.inf for w in self.periods):
             raise InvalidParameterError(f"periods must be finite positive reals, got {self.periods}")
+        if not (isinstance(self.shift, numbers.Number) and cmath.isfinite(self.shift)):
+            raise InvalidParameterError(f"shift must be a finite number, got {self.shift!r}")
 
     @property
     def equal_periods(self) -> bool:
@@ -730,6 +732,8 @@ def direct_series(params: MultiZetaParams, s,
     rectangle.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise InvalidParameterError(f"direct series needs a finite s, got {s}")
     if s.real <= params.order:
         raise UnsupportedContinuationError("direct series needs Re(s) > order")
     refolded = _refolded_lattice(params) if complex(params.shift).real > 0 else None

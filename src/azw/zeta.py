@@ -8,7 +8,8 @@ reciprocal-argument automorphy certificate.
 
 Everything marked "exact" below is checked in rational arithmetic with no
 tolerance. Spectra come from the exact charpolys: multiplicities are
-exact, and each eigenvalue is a double with a certified `err`.
+exact, each eigenvalue is a double with a certified `err`, and the Grover
+spectrum is the walk's, mapped and certified by the Konno-Sato identity.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .matrices import (
 from .polynomials import (
     ExactPolynomial,
     ExactRationalFunction,
-    _changes_sign,
-    _disjoint,
     _dyadic,
     _float_above,
     _real_roots,
@@ -402,57 +401,11 @@ def spectrum_via_konno_sato(g: Graph) -> SpectrumReport:
     return _sorted_report(entries, err, "konno_sato_mapped")
 
 
-def _trace_polynomial(chi: list[int], scale: int) -> list[int]:
-    """The monic Q(z) = prod_i (z - scale x_i) for a self-reciprocal
-    chi(lambda) = c prod_i (lambda^2 - x_i lambda + 1) of degree 2h.
-
-    With T_0 = 2, T_1 = x and T_(j+1) = x T_j - T_(j-1), so that
-    T_j(lambda + 1/lambda) = lambda^j + lambda^-j, chi = lambda^h q(x) at
-    x = lambda + 1/lambda for q = chi_h + sum_(j>=1) chi_(h+j) T_j. Then
-    Q(z) = scale^h q(z / scale) / c. For a Grover operator over the lcm
-    `scale` of its entry denominators each scale x_i is an algebraic
-    integer, so Q has integer coefficients; SpectralMismatchError if not.
-    """
-    half = len(chi) // 2
-    q = [chi[half]]
-    older, t = [2], [0, 1]
-    for j in range(half + 1, len(chi)):
-        q += [0] * (len(t) - len(q))
-        for i, x in enumerate(t):
-            q[i] += chi[j] * x
-        nxt = [0] + t
-        for i, x in enumerate(older):
-            nxt[i] -= x
-        older, t = t, nxt
-    out = []
-    for i, x in enumerate(q):
-        num, rest = divmod(x * scale ** (half - i), chi[-1])
-        if rest:
-            raise SpectralMismatchError("det(lambda I - U) gives a non-integral trace polynomial")
-        out.append(num)
-    return out
-
-
-def spectrum(g: Graph, mapped: SpectrumReport | None = None) -> SpectrumReport:
-    """Eigenvalues of the Grover operator U, certified on det(lambda I - U).
-
-    Its exact factors lambda - 1 and lambda + 1 give the multiplicities of
-    +1 and -1. U is orthogonal, so the rest must be self-reciprocal, with
-    a trace polynomial Q whose roots are 2L Re(lambda) over the other
-    eigenvalue pairs (`_trace_polynomial`, L the lcm of U's entry
-    denominators); Yun's squarefree factors of Q give their
-    multiplicities. The values are not searched for again: each value of
-    `mapped` (the Konno-Sato spectrum when None) above the real axis names
-    an interval Re(lambda) +- err, and one factor of Q must change sign
-    across it, exactly, each factor on as many disjoint intervals as its
-    degree. So each interval holds one root of Q, and the pair it stands
-    for gets the err of `_on_circle`. Any failure raises
-    SpectralMismatchError.
-    """
-    u = grover_matrix(g)
-    scale = u.integer_form[0]
-    ints = reversed_charpoly(u).integer_form[1]
-    chi = [0] * (u.rows + 1 - len(ints)) + ints[::-1]  # det(lambda I - U), scaled
+def _direct_spectrum(g: Graph, mapped: SpectrumReport | None) -> SpectrumReport:
+    """`spectrum(g)`, its values other than +-1 taken from `mapped`: the
+    Konno-Sato spectrum, or None for a graph without edges."""
+    ints = reversed_charpoly(grover_matrix(g)).integer_form[1]
+    chi = [0] * (2 * g.m + 1 - len(ints)) + ints[::-1]  # det(lambda I - U), scaled
     units = {1: 0, -1: 0}
     for unit in units:
         while True:  # synthetic division by lambda - unit; rest[-1] is chi(unit)
@@ -464,56 +417,43 @@ def spectrum(g: Graph, mapped: SpectrumReport | None = None) -> SpectrumReport:
                 break
             chi = rest[-2::-1]
             units[unit] += 1
-    if len(chi) % 2 == 0 or chi != chi[::-1]:
-        raise SpectralMismatchError("det(lambda I - U) over its factors lambda -+ 1 "
-                                    "is not self-reciprocal")
     entries = [(complex(unit), k) for unit, k in units.items() if k]
     err = [0.0] * len(entries)
-    if len(chi) == 1:
-        return _sorted_report(entries, err, "direct")
-    factors = sorted(_squarefree_factors(_trace_polynomial(chi, scale)),
-                     key=lambda f: -len(f[1]))
-    if mapped is None:
-        mapped = spectrum_via_konno_sato(g)
-    brackets = sorted((value.real, bound) for (value, _), bound in zip(mapped.entries, mapped.err)
-                      if value.imag > 0)
-    if not _disjoint(brackets):
-        raise SpectralMismatchError("the mapped eigenvalues' intervals overlap")
-    # a bracket goes to the first factor that changes sign across it: a
-    # factor with as many brackets as roots has no root in another's
-    found = {k: 0 for k, _ in factors}
-    for v, bound in brackets:
-        k = next((k for k, f in factors if _changes_sign(f, v, bound, 2 * scale)), None)
-        if k is None:
-            raise SpectralMismatchError(f"det(lambda I - U) has no root with real part "
-                                        f"{v} +- {bound}")
-        found[k] += 1
-        s, bound = _on_circle(v, bound)
-        entries += [(complex(v, s), k), (complex(v, -s), k)]
-        err += [bound, bound]
-    for k, f in factors:
-        if found[k] != len(f) - 1:
-            raise SpectralMismatchError(f"{found[k]} mapped eigenvalue pairs for the "
-                                        f"{len(f) - 1} of multiplicity {k}")
+    if len(chi) > 1:
+        if not verify_konno_sato(g).ok:
+            raise SpectralMismatchError("det(I - uU) fails the Konno-Sato identity")
+        for (value, k), bound in zip(mapped.entries, mapped.err):
+            if value.imag:
+                entries.append((value, k))
+                err.append(bound)
+    if sum(k for _, k in entries) != 2 * g.m:
+        raise SpectralMismatchError(f"the multiplicities do not add up to 2m = {2 * g.m}")
     return _sorted_report(entries, err, "direct")
+
+
+def spectrum(g: Graph) -> SpectrumReport:
+    """Eigenvalues of the Grover operator U, certified by Konno-Sato.
+
+    The factors lambda -+ 1 of det(lambda I - U) give the multiplicities
+    of +-1 exactly. Once `verify_konno_sato` holds, the other eigenvalues
+    are those of `spectrum_via_konno_sato`, values, err and multiplicities
+    alike. Multiplicities that do not add up to 2m raise
+    SpectralMismatchError.
+    """
+    return _direct_spectrum(g, spectrum_via_konno_sato(g) if g.m else None)
 
 
 def matched_spectra(g: Graph) -> tuple[SpectrumReport, SpectrumReport]:
     """Direct and mapped Grover spectra, verified equal entry by entry.
 
-    The direct spectrum certifies the mapped values on U's own charpoly
-    (`spectrum`), so both list the same values, and each multiplicity,
-    from det(lambda I - U) on one side and from the walk's charpoly with
-    the m - n shift on the other, must agree.
+    `spectrum`'s certificate runs on the one mapped spectrum, so both list
+    the same values and err; the multiplicities of +-1, from U's charpoly
+    and from the walk's with the m - n shift, must agree.
     """
     mapped = spectrum_via_konno_sato(g)
-    direct = spectrum(g, mapped)
-    if direct.dimension != mapped.dimension:
-        raise SpectralMismatchError(f"dimension {direct.dimension} vs {mapped.dimension}")
-    for a, b in zip(direct.entries, mapped.entries):
-        if a != b:
-            raise SpectralMismatchError(f"direct eigenvalue {a[0]} of multiplicity {a[1]} "
-                                        f"vs mapped {b[0]} of multiplicity {b[1]}")
+    direct = _direct_spectrum(g, mapped)
+    if direct.entries != mapped.entries:
+        raise SpectralMismatchError("the direct and mapped spectra differ at +1 or -1")
     return direct, mapped
 
 

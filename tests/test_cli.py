@@ -93,6 +93,14 @@ def test_graph_gen_reads_its_arguments_in_any_order(tmp_path):
     assert json.loads(Path(out).read_text())["n"] == 4
 
 
+def test_graph_gen_refuses_a_member_over_the_edge_limit():
+    result = invoke(["graph", "gen", "cycle", "1000001"])
+    assert result.exit_code == 1
+    status, payload = _payload(result)
+    assert status == "domain_error"
+    assert payload["error"] == "InvalidParameterError"
+
+
 def test_graph_info(cycle4_file):
     result = invoke(["graph", "info", cycle4_file])
     assert result.exit_code == 0

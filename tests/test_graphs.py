@@ -106,6 +106,20 @@ def test_generate_rejections(family, params):
         generate(family, *params)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("cycle", (1_000_001,)),
+    ("path", (1_000_002,)),
+    ("complete", (1415,)),
+    ("complete_bipartite", (1000, 1001)),
+    ("star", (1_000_001,)),
+])
+def test_generate_refuses_more_than_a_million_edges(family, params):
+    # each member has just over 10^6 edges, refused before its edge list,
+    # which would take seconds and hundreds of MB to build
+    with pytest.raises(InvalidParameterError, match="edges"):
+        generate(family, *params)
+
+
 def test_json_round_trip():
     g = generate("petersen")
     assert graph_from_json(g.to_json()) == g

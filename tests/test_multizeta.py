@@ -425,6 +425,17 @@ def test_direct_series_domain():
         direct_series(MultiZetaParams(2, 1.0, (1.0, 1.0)), 1.5)
 
 
+@pytest.mark.parametrize("shift, s", [
+    (1.0, math.nan), (1.0, math.inf), (1.0, complex(3.0, math.nan)),
+    (math.nan, 3.0), (complex(1.0, math.inf), 3.0),
+], ids=["s-nan", "s-inf", "s-imag-nan", "shift-nan", "shift-imag-inf"])
+def test_direct_series_refuses_non_finite_input(shift, s):
+    # refused before any summation, which would run for seconds and end
+    # in an exhausted budget
+    with pytest.raises(InvalidParameterError, match="finite"):
+        direct_series(MultiZetaParams(2, shift, (1.0, 1.0)), s)
+
+
 def test_rectangular_path_matches_collapsed():
     from azw.multizeta import _rectangular_series
     pol = PrecisionPolicy(target=1e-10)

@@ -353,19 +353,49 @@ def test_matched_spectra_rejects_a_perturbed_grover_charpoly(monkeypatch, corpus
         matched_spectra(g)
 
 
-def test_matched_spectra_rejects_a_moved_mapped_value(monkeypatch):
-    # the direct side certifies the mapped values on U's own charpoly, so a
-    # pair moved by far more than its err finds no root there
+@pytest.mark.parametrize("family", ["path", "complete"])
+def test_matched_spectra_rejects_the_walk_side_of_another_graph(monkeypatch, family):
+    # P5 and K5 have C5's vertex count, so both sides build. K5's walk also
+    # has mu = 1 once and no mu = -1, so its mapped spectrum has C5's units
+    # and adds up to 2m: only the Konno-Sato identity tells them apart
+    c5, other = generate("cycle", 5), generate(family, 5)
+    real = azw.zeta.transition_matrix
+    monkeypatch.setattr(azw.zeta, "transition_matrix", lambda g: real(other if g == c5 else g))
+    with pytest.raises(SpectralMismatchError):
+        matched_spectra(c5)
+
+
+def test_matched_spectra_rejects_a_changed_pair_multiplicity(monkeypatch):
+    # both members of one non-real pair change, so the direct side copies
+    # them and the entries still agree; only the total 2m catches it
     g = generate("petersen")
     real = spectrum_via_konno_sato(g)
-    i = next(i for i, (v, _) in enumerate(real.entries) if v.imag > 0)
-    moved = list(real.entries)
-    v, mult = moved[i]
-    moved[i] = (complex(v.real + 1e-9, v.imag), mult)
-    changed = SpectrumReport(entries=tuple(moved), source=real.source, err=real.err)
+    first = next(v for v, _ in real.entries if v.imag)
+    entries = tuple((v, m + 1 if v.imag and v.real == first.real else m)
+                    for v, m in real.entries)
+    assert sum(m for _, m in entries) == 2 * g.m + 2
+    changed = SpectrumReport(entries=entries, source=real.source, err=real.err)
     monkeypatch.setattr(azw.zeta, "spectrum_via_konno_sato", lambda g: changed)
     with pytest.raises(SpectralMismatchError):
         matched_spectra(g)
+
+
+def _assert_direct_is_mapped(g, label):
+    """The direct report has the mapped values, multiplicities and err."""
+    direct, mapped = matched_spectra(g)
+    assert direct.entries == mapped.entries and direct.err == mapped.err, label
+    assert spectrum(g) == direct, label
+
+
+def test_direct_spectrum_is_the_mapped_one_on_corpus(corpus):
+    for name, g in corpus.items():
+        _assert_direct_is_mapped(g, name)
+
+
+@given(connected_graphs(max_n=7))
+@settings(max_examples=10, deadline=None)
+def test_direct_spectrum_is_the_mapped_one_on_random_graphs(g):
+    _assert_direct_is_mapped(g, g.edges)
 
 
 def test_matched_spectra_on_corpus(corpus):
