@@ -158,17 +158,21 @@ class ExactMatrix:
 
     @classmethod
     def _from_ints(cls, rows: int, cols: int, scale: int, ints) -> "ExactMatrix":
-        """The rows x cols matrix ints / scale, ints row-major and scale > 0.
+        """The rows x cols matrix ints / scale, ints a row-major list or
+        tuple and scale > 0.
 
         Dividing scale and ints by their gcd leaves L the lcm of the
-        reduced entry denominators, so the form is canonical.
+        reduced entry denominators, so the form is canonical. A tuple
+        built from a generator grows by resizing, and when freed it gives
+        CPython's tuple free lists memory they never gave out, which they
+        hold; built from a list, it is taken from them.
         """
         ints = tuple(ints)
         if scale != 1:
             g = gcd(scale, *ints)
             if g != 1:
                 scale //= g
-                ints = tuple(x // g for x in ints)
+                ints = tuple([x // g for x in ints])
         m = cls.__new__(cls)
         m._set(rows, cols, scale, ints)
         return m
@@ -232,7 +236,7 @@ class ExactMatrix:
         scale, a = self.integer_form
         cols = self.cols
         return ExactMatrix._from_ints(
-            cols, self.rows, scale, chain.from_iterable(a[j::cols] for j in range(cols)))
+            cols, self.rows, scale, list(chain.from_iterable(a[j::cols] for j in range(cols))))
 
     def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         """self + sign * other over the lcm of the two scales."""
@@ -242,7 +246,7 @@ class ExactMatrix:
         scale = lcm(s1, s2)
         x, y = scale // s1, sign * (scale // s2)
         return ExactMatrix._from_ints(self.rows, self.cols, scale,
-                                      (p * x + q * y for p, q in zip(a, b)))
+                                      [p * x + q * y for p, q in zip(a, b)])
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._combine(other, 1)
@@ -255,7 +259,7 @@ class ExactMatrix:
         scale, a = self.integer_form
         num = c.numerator
         return ExactMatrix._from_ints(self.rows, self.cols, scale * c.denominator,
-                                      (num * x for x in a))
+                                      [num * x for x in a])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -407,7 +411,7 @@ def positive_support(matrix: ExactMatrix) -> ExactMatrix:
     if not matrix.is_square:
         raise NonSquareError("positive support is defined for square matrices here")
     return ExactMatrix._from_ints(matrix.rows, matrix.cols, 1,
-                                  (1 if x > 0 else 0 for x in matrix.integer_form[1]))
+                                  [1 if x > 0 else 0 for x in matrix.integer_form[1]])
 
 
 @lru_cache(maxsize=None)

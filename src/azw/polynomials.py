@@ -1,8 +1,10 @@
 """Exact univariate polynomials, rational functions, and determinants.
 
-Coefficients are Fractions indexed by ascending power of u. The zero
-polynomial is the empty coefficient tuple (degree -1). Rational functions
-are kept in lowest terms with a monic denominator; any sign lives in the
+A polynomial p is held as one integer form (L, L*p), as a matrix is in
+`matrices`: L the lcm of the coefficient denominators, the ints in
+ascending powers of u. Arithmetic, equality and hashing run on the ints;
+Fraction coefficients are derived only when read. Rational functions are
+kept in lowest terms with a monic denominator; any sign lives in the
 numerator, which makes the printable form unique.
 
 Every determinant polynomial goes through one kernel, `reversed_charpoly`:
@@ -16,167 +18,169 @@ on a block companion, which it builds on the ints of the two blocks'
 integer forms, so no Fraction matrix arithmetic happens on the way. The
 primes, the pivot rule and the lift come from `matrices`, where
 `det_exact` uses them for elimination.
-`ExactRationalFunction.from_parts` looks for a common factor only when
-both sides have positive degree, and rescales only a denominator that is
-not yet monic.
 
-The spectra in `zeta` run on integer polynomials (lists of ints): Yun's
-squarefree factors, their gcds taken modulo the same word primes and
-accepted only when they divide exactly, and certified real-root
-brackets, each accepted on an exact sign change.
+Every gcd is one modular gcd, `_int_gcd`: its cofactors reduce rational
+functions, and it serves `poly_gcd` and Yun's squarefree factors. The
+spectra in `zeta` run on integer polynomials (lists of ints): those
+factors, and certified real-root brackets, each accepted on an exact
+sign change.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
 
-from .errors import NonSquareError, PoleError, PrecisionError
+from .errors import InvalidParameterError, NonSquareError, PoleError, PrecisionError
 # _PRIMES and _prime are re-exported: the charpoly runs on these primes
 from .matrices import _PRIMES, ExactMatrix, _crt_lift, _prime, _unit_pivot  # noqa: F401
 
 
-def _trim(coeffs) -> tuple[Fraction, ...]:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+# Integer polynomials (integer forms, the gcd, the spectra): lists of ints in
+# ascending powers with a nonzero top coefficient, the empty list for 0.
+def _trim_ints(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 @dataclass(frozen=True)
 class ExactPolynomial:
-    coeffs: tuple[Fraction, ...]
+    """p held as `integer_form` = (L, A): L > 0 the lcm of the reduced
+    coefficient denominators, A = L*p as a tuple of ints with a nonzero
+    last entry, so gcd(L, *A) = 1 and equal polynomials have equal forms.
+    Zero is (1, ()). Build one with `from_coeffs` or `_from_ints`."""
+
+    integer_form: tuple[int, tuple[int, ...]]
+
+    @classmethod
+    def _from_ints(cls, scale: int, ints) -> "ExactPolynomial":
+        """ints / scale, scale nonzero, trimmed and divided by their gcd
+        signed like scale, which leaves the canonical form."""
+        ints = _trim_ints(list(ints))
+        if scale != 1:
+            g = gcd(scale, *ints) if scale > 0 else -gcd(scale, *ints)
+            if g != 1:
+                scale //= g
+                ints = [x // g for x in ints]
+        return cls((scale, tuple(ints)))
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "ExactPolynomial":
-        return cls(_trim(Fraction(c) for c in coeffs))
+        """coeffs: ints, Fractions or anything Fraction(x) takes, in
+        ascending powers."""
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        scale = lcm(*(c.denominator for c in coeffs))
+        return cls._from_ints(scale, [c.numerator * (scale // c.denominator) for c in coeffs])
 
     @classmethod
     def zero(cls) -> "ExactPolynomial":
-        return cls(())
+        return cls((1, ()))
 
     @classmethod
     def one(cls) -> "ExactPolynomial":
-        return cls((Fraction(1),))
+        return cls((1, (1,)))
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "ExactPolynomial":
-        c = Fraction(coeff)
-        if c == 0:
-            return cls(())
-        return cls(tuple([Fraction(0)] * power) + (c,))
+        if power < 0:
+            raise InvalidParameterError(f"a monomial needs a power >= 0, got {power}")
+        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        return cls._from_ints(c.denominator, [0] * power + [c.numerator])
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, derived from the integer form."""
+        scale, ints = self.integer_form
+        return tuple([Fraction(x, scale) for x in ints])  # from a list: see ExactMatrix._from_ints
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.integer_form[1]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.integer_form[1]
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        scale, ints = self.integer_form
+        return Fraction(ints[k] if 0 <= k < len(ints) else 0, scale)
 
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPolynomial(_trim(
-            self.coeff(k) + other.coeff(k) for k in range(n)))
+        (s1, a), (s2, b) = self.integer_form, other.integer_form
+        scale = lcm(s1, s2)
+        x, y = scale // s1, scale // s2
+        return ExactPolynomial._from_ints(
+            scale, (p * x + q * y for p, q in zip_longest(a, b, fillvalue=0)))
 
     def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPolynomial(_trim(
-            self.coeff(k) - other.coeff(k) for k in range(n)))
+        return self + -other
 
     def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial(tuple(-c for c in self.coeffs))
+        return self.scale(-1)
 
     def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if self.is_zero or other.is_zero:
-            return ExactPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return ExactPolynomial(_trim(out))
+        (s1, a), (s2, b) = self.integer_form, other.integer_form
+        if not a or not b:
+            return ExactPolynomial.zero()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
+        return ExactPolynomial._from_ints(s1 * s2, out)
 
     def scale(self, c) -> "ExactPolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return ExactPolynomial(())
-        if c == 1:
-            return self
-        if c == -1:
-            return -self  # a sign flip needs no gcd per coefficient
-        return ExactPolynomial(tuple(c * x for x in self.coeffs))
+        """c * self; an int or Fraction c is read as it is."""
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        scale, ints = self.integer_form
+        return ExactPolynomial._from_ints(scale * c.denominator, [c.numerator * x for x in ints])
 
     def __pow__(self, k: int) -> "ExactPolynomial":
         if k < 0:
             raise ValueError("negative power")
         result = ExactPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):  # no slower than squaring, in schoolbook products
+            result = result * self
         return result
 
     def divmod(self, other: "ExactPolynomial") -> tuple["ExactPolynomial", "ExactPolynomial"]:
-        if other.is_zero:
+        """(q, r) with self = q * other + r and deg r < deg other."""
+        (s1, a), (s2, b) = self.integer_form, other.integer_form
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return ExactPolynomial(()), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top:
-                q = top / lead
-                quot[k] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= q * b
-        return ExactPolynomial(_trim(quot)), ExactPolynomial(_trim(rem))
-
-    def monic(self) -> "ExactPolynomial":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading())
-
-    @property
-    def integer_form(self) -> tuple[int, list[int]]:
-        """(D, D*p): D the lcm of the coefficient denominators, and the
-        coefficients of D*p as ints."""
-        scale = lcm(*(c.denominator for c in self.coeffs))
-        return scale, [c.numerator * (scale // c.denominator) for c in self.coeffs]
-
-    @classmethod
-    def from_integer_form(cls, scale: int, ints) -> "ExactPolynomial":
-        """The polynomial with coefficients ints / scale."""
-        return cls(_trim(Fraction(x, scale) for x in ints))
+        power, quot, rem = _pseudo_divmod(a, b)
+        # self = A / s1, other = B / s2 and power * A = quot * B + rem
+        return (ExactPolynomial._from_ints(power * s1, [x * s2 for x in quot]),
+                ExactPolynomial._from_ints(power * s1, rem))
 
     def reversed(self) -> "ExactPolynomial":
         """Coefficient reversal u^deg * p(1/u)."""
-        return ExactPolynomial(_trim(reversed(self.coeffs)))
+        scale, ints = self.integer_form
+        return ExactPolynomial._from_ints(scale, ints[::-1])
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction x, floating otherwise."""
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if isinstance(x, (int, Fraction)) else complex(c))
-        return acc
+        """Horner evaluation; exact for int or Fraction x, floating
+        otherwise on the correctly rounded coefficients int / L."""
+        scale, ints = self.integer_form
+        exact = isinstance(x, (int, Fraction))
+        acc = 0 if exact else 0.0 * x
+        for c in reversed(ints):
+            acc = acc * x + (c if exact else complex(c / scale))
+        return Fraction(acc, scale) if exact else acc
 
     def to_json(self) -> str:
         return json.dumps({"coeffs": [str(c) for c in self.coeffs]})
@@ -187,11 +191,13 @@ class ExactPolynomial:
 
 
 def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
-    """Monic gcd over the rationals (Euclid)."""
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero else a
+    """Monic gcd over the rationals, from the integer gcd of the forms."""
+    if a.is_zero:
+        a, b = b, a
+    if a.is_zero:
+        return a
+    g = _int_gcd(a.integer_form[1], b.integer_form[1])[0]
+    return ExactPolynomial._from_ints(g[-1], g)
 
 
 @dataclass(frozen=True)
@@ -206,17 +212,15 @@ class ExactRationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            return cls(ExactPolynomial(()), ExactPolynomial.one())
+            return cls(num, ExactPolynomial.one())
+        (sn, a), (sd, b) = num.integer_form, den.integer_form
         # a constant side leaves no common factor to find
-        if num.degree > 0 and den.degree > 0:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-        lead = den.leading()
-        if lead != 1:
-            num, den = num.scale(1 / lead), den.scale(1 / lead)
-        return cls(num, den)
+        if len(a) > 1 and len(b) > 1:
+            _, a, b = _int_gcd(a, b)
+        # num / den = (a / sn) / (b / sd); dividing both by b[-1] / sd
+        # makes the denominator monic
+        return cls(ExactPolynomial._from_ints(sn * b[-1], [x * sd for x in a]),
+                   ExactPolynomial._from_ints(b[-1], b))
 
     @classmethod
     def from_polynomial(cls, p: ExactPolynomial) -> "ExactRationalFunction":
@@ -248,14 +252,10 @@ class ExactRationalFunction:
         return ExactRationalFunction.from_parts(self.num.scale(c), self.den)
 
     def reciprocal_argument(self) -> "ExactRationalFunction":
-        """The function u -> f(1/u), as a reduced rational function."""
-        shift = self.den.degree - self.num.degree
-        num, den = self.num.reversed(), self.den.reversed()
-        if shift >= 0:
-            num = num * ExactPolynomial.monomial(shift)
-        else:
-            den = den * ExactPolynomial.monomial(-shift)
-        return ExactRationalFunction.from_parts(num, den)
+        """The function u -> f(1/u), as a reduced rational function: the
+        reversed parts, times u^(deg den - deg num)."""
+        reversed_parts = ExactRationalFunction(self.num.reversed(), self.den.reversed())
+        return reversed_parts.scale_monomial(self.den.degree - self.num.degree)
 
     def eval_exact(self, x) -> Fraction:
         x = Fraction(x)
@@ -279,13 +279,18 @@ class ExactRationalFunction:
 
 
 def rational_function_eval(f: ExactRationalFunction, x) -> complex:
-    """Floating evaluation of f at a complex point, rejecting near-poles."""
+    """Floating evaluation of f at a complex point, rejecting near-poles
+    and values past the float range."""
     x = complex(x)
-    den = f.den(x)
-    tol = 1e-12 * max(1.0, abs(x)) ** max(f.den.degree, 0)
+    num, den = f.num(x), f.den(x)
+    if not (cmath.isfinite(num) and cmath.isfinite(den)):
+        raise PrecisionError(f"f({x}) is past the float range")
+    tol = 1e-12
+    for _ in range(f.den.degree):
+        tol *= max(1.0, abs(x))  # a product saturates at inf, where a float power raises
     if abs(den) <= tol:
         raise PoleError(x)
-    return complex(f.num(x)) / den
+    return complex(num) / den
 
 
 def _charpoly_mod(a: list[list[int]], q: int) -> list[int]:
@@ -376,12 +381,12 @@ def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
     for row in a:
         bound *= isqrt(sum(x * x for x in row if x)) + 2
     # e_k is the coefficient of v^k, since det(I - vA) = v^n char(1/v)
-    coeffs = []
-    power = 1  # L^k
-    for e in _crt_lift(bound, lambda q: reversed(_charpoly_mod(a, q))):
-        coeffs.append(Fraction(e, power))
+    e = _crt_lift(bound, lambda q: reversed(_charpoly_mod(a, q)))
+    ints, power = [], 1  # e_k / L^k = e_k L^(deg - k) / L^deg
+    for x in reversed(e):
+        ints.append(x * power)
         power *= scale
-    return ExactPolynomial(_trim(coeffs))
+    return ExactPolynomial._from_ints(power // scale, ints[::-1])
 
 
 def poly_matrix_det(a1: ExactMatrix, a2: ExactMatrix) -> ExactPolynomial:
@@ -409,32 +414,24 @@ def poly_matrix_det(a1: ExactMatrix, a2: ExactMatrix) -> ExactPolynomial:
     return reversed_charpoly(ExactMatrix._from_ints(2 * n, 2 * n, scale, c + bottom))
 
 
-# Integer polynomials for the certified spectra: lists of ints in
-# ascending powers with a nonzero top coefficient, the empty list for 0.
-
-def _trim_ints(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _derivative(a: list[int]) -> list[int]:
     return [i * a[i] for i in range(1, len(a))]
 
 
-def _divide_monic(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b for a monic b, or None when b leaves a remainder."""
-    a = list(a)
-    db = len(b) - 1
-    if len(a) <= db:
-        return None if any(a) else []
-    quot = [0] * (len(a) - db)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = quot[k] = a[k + db]
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """(c^k, q, r) with c^k a = q b + r over the integers and deg r < deg b,
+    for c the top coefficient of b and k = max(deg a - deg b + 1, 0): the
+    top coefficient of each remainder is then divisible by c."""
+    k, lead, db = max(len(a) - len(b) + 1, 0), b[-1], len(b) - 1
+    power = lead ** k
+    rem = [x * power for x in a]
+    quot = [0] * k
+    for i in range(k - 1, -1, -1):
+        c = quot[i] = rem[i + db] // lead
         if c:
-            for j in range(db):
-                a[k + j] -= c * b[j]
-    return None if any(a[:db]) else quot
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    return power, quot, rem[:db]
 
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -455,22 +452,36 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return [x * inv % p for x in a]
 
 
-def _int_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(g, a/g, b/g) for g the monic gcd over Z of a monic a and any b.
+def _primitive(a: list[int]) -> list[int]:
+    """a over its content, signed so the top coefficient is positive."""
+    c = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return a if c == 1 else [x // c for x in a]
 
-    g is taken modulo word primes (`_prime`). A prime can only raise the
-    degree of the gcd, so residues of the lowest degree seen are joined by
-    Chinese remaindering, and the symmetric lift is accepted once it
-    divides a and b exactly: it then divides their gcd and has no lower
-    degree, so it is the gcd.
+
+def _int_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g) for g the gcd over Z of a nonzero a and any b,
+    primitive with a positive top coefficient.
+
+    Brown's modular gcd (J. ACM 18, 1971): modulo a word prime p
+    (`_prime`) that divides neither top coefficient, the monic gcd times
+    gamma = gcd(top a, top b) is the image of gamma / (top g) * g, or has
+    a higher degree. Residues of the lowest degree seen are joined by
+    Chinese remaindering, and the primitive part of their symmetric lift
+    is accepted once it divides a and b over Q: it then divides g and has
+    no lower degree, so it is g. Being primitive, it divides them over Z
+    too (Gauss), so the pseudo-quotients divide exactly.
     """
     if not b:
-        return list(a), [1], []
+        g = _primitive(a)
+        return g, [a[-1] // g[-1]], []
+    gamma = gcd(a[-1], b[-1])
     modulus, i = 1, 0
     while True:
         p = _prime(i)
         i += 1
-        g = _gcd_mod(a, b, p)
+        if not (a[-1] % p and b[-1] % p):
+            continue
+        g = [x * gamma % p for x in _gcd_mod(a, b, p)]
         if modulus == 1 or len(g) < len(res):
             modulus, res = p, g
         elif len(g) > len(res):
@@ -480,12 +491,12 @@ def _int_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int
             res = [x + modulus * ((y - x) * inv % p) for x, y in zip(res, g)]
             modulus *= p
         half = modulus // 2
-        lift = [x - modulus if x > half else x for x in res]
-        qa = _divide_monic(a, lift)
-        if qa is not None:
-            qb = _divide_monic(b, lift)
-            if qb is not None:
-                return lift, qa, qb
+        lift = _primitive([x - modulus if x > half else x for x in res])
+        pa, qa, ra = _pseudo_divmod(a, lift)
+        if not any(ra):
+            pb, qb, rb = _pseudo_divmod(b, lift)
+            if not any(rb):
+                return lift, [x // pa for x in qa], [x // pb for x in qb]
 
 
 def _squarefree_factors(f: list[int]) -> list[tuple[int, list[int]]]:
@@ -496,9 +507,7 @@ def _squarefree_factors(f: list[int]) -> list[tuple[int, list[int]]]:
     _, b, c = _int_gcd(f, _derivative(f))
     k = 1
     while len(b) > 1:
-        db = _derivative(b)
-        d = _trim_ints([(c[i] if i < len(c) else 0) - (db[i] if i < len(db) else 0)
-                        for i in range(max(len(c), len(db)))])
+        d = _trim_ints([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
         g, b, c = _int_gcd(b, d)
         if len(g) > 1:
             out.append((k, g))

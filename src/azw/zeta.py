@@ -6,7 +6,7 @@ Bass form), the arc/vertex determinant identity linking Grover spectra to
 random-walk spectra, the reduced-cycle series definition, and the
 reciprocal-argument automorphy certificate.
 
-Everything marked "exact" below is checked in rational arithmetic with no
+Everything marked "exact" below is checked on integer forms, with no
 tolerance. Spectra come from the exact charpolys: multiplicities are
 exact, each eigenvalue is a double with a certified `err`, and the Grover
 spectrum is the walk's, mapped and certified by the Konno-Sato identity.
@@ -53,24 +53,14 @@ def grover_zeta(g: Graph) -> ExactRationalFunction:
 def _times_circle_power(det: ExactPolynomial, k: int) -> ExactRationalFunction:
     """det * (1-u^2)^k as a reduced rational function; k < 0 for trees.
 
-    (1-u^2)^|k| has the coefficient (-1)^j C(|k|, j) at u^(2j), so for
-    k >= 0 the product is a convolution over det's nonzero coefficients,
-    taken on det's integer numerators over their common denominator.
+    (1-u^2)^|k| has the coefficient (-1)^j C(|k|, j) at u^(2j).
     """
-    circle = [(2 * j, (-1) ** j * math.comb(abs(k), j)) for j in range(abs(k) + 1)]
+    circle = [0] * (2 * abs(k) + 1)
+    circle[::2] = [(-1) ** j * math.comb(abs(k), j) for j in range(abs(k) + 1)]
+    circle = ExactPolynomial._from_ints(1, circle)
     if k < 0:
-        power = [0] * (1 - 2 * k)
-        for i, c in circle:
-            power[i] = c
-        return ExactRationalFunction.from_parts(det, ExactPolynomial.from_coeffs(power))
-    scale, ints = det.integer_form
-    out = [0] * (len(ints) + 2 * k)
-    for i, a in enumerate(ints):
-        if a:
-            for j, c in circle:
-                out[i + j] += a * c
-    return ExactRationalFunction.from_parts(ExactPolynomial.from_integer_form(scale, out),
-                                            ExactPolynomial.one())
+        return ExactRationalFunction.from_parts(det, circle)
+    return ExactRationalFunction.from_polynomial(det * circle)
 
 
 def _bass_inverse_zeta(g: Graph) -> ExactRationalFunction:
@@ -123,10 +113,10 @@ def _konno_sato_vertex_side(g: Graph) -> ExactPolynomial:
     With det(I - tP) = sum c_k t^k and t = 2u/(1+u^2), the determinant is
     (1+u^2)^n det(I - tP) = sum c_k (2u)^k (1+u^2)^(n-k), built by the
     homogeneous Horner rule acc <- acc (1+u^2) + c_k (2u)^k in O(n^2),
-    run on the integer numerators of the c_k over their common denominator.
+    run on the ints of the charpoly's integer form.
     """
     scale, c = reversed_charpoly(transition_matrix(g)).integer_form
-    c += [0] * (g.n + 1 - len(c))
+    c += (0,) * (g.n + 1 - len(c))
     acc = [0]
     for k in range(g.n + 1):
         nxt = acc + [0, 0]
@@ -135,7 +125,7 @@ def _konno_sato_vertex_side(g: Graph) -> ExactPolynomial:
                 nxt[i + 2] += x
         nxt[k] += c[k] * 2 ** k
         acc = nxt
-    return ExactPolynomial.from_integer_form(scale, acc)
+    return ExactPolynomial._from_ints(scale, acc)
 
 
 def verify_konno_sato(g: Graph) -> KonnoSatoReport:
@@ -144,23 +134,23 @@ def verify_konno_sato(g: Graph) -> KonnoSatoReport:
     The left side is the 2m x 2m charpoly of the Grover operator, the
     right side comes from the n x n charpoly of the transition matrix.
     It is assembled as a rational function because the (1-u^2)^(m-n)
-    factor sits in the denominator for trees (m < n).
+    factor sits in the denominator for trees (m < n). The two sides agree
+    when their integer forms do; the Fraction mismatches are listed only
+    when they do not.
     """
     lhs = reversed_charpoly(grover_matrix(g))
     rhs = _times_circle_power(_konno_sato_vertex_side(g), g.m - g.n)
-
-    mismatches: list[tuple[int, Fraction, Fraction]] = []
-    if rhs.is_polynomial:
-        rhs_poly = rhs.num  # the monic constant denominator is 1
-        top = max(lhs.degree, rhs_poly.degree)
-        for i in range(top + 1):
-            a, b = lhs.coeff(i), rhs_poly.coeff(i)
-            if a != b:
-                mismatches.append((i, a, b))
+    # a polynomial rhs has the monic constant denominator 1
+    ok = rhs.is_polynomial and rhs.num == lhs
+    if ok:
+        mismatches = ()
+    elif rhs.is_polynomial:
+        mismatches = tuple((i, lhs.coeff(i), rhs.num.coeff(i))
+                           for i in range(max(lhs.degree, rhs.num.degree) + 1)
+                           if lhs.coeff(i) != rhs.num.coeff(i))
     else:
-        mismatches.append((-1, Fraction(0), Fraction(1)))  # rhs failed to reduce
-    return KonnoSatoReport(ok=not mismatches, lhs=lhs, rhs=rhs,
-                           mismatches=tuple(mismatches))
+        mismatches = ((-1, Fraction(0), Fraction(1)),)  # rhs failed to reduce
+    return KonnoSatoReport(ok=ok, lhs=lhs, rhs=rhs, mismatches=mismatches)
 
 
 @dataclass(frozen=True)
@@ -317,8 +307,8 @@ class SpectrumReport:
 
 def _sorted_report(entries: list, err: list, source: str) -> SpectrumReport:
     order = sorted(range(len(entries)), key=lambda i: (entries[i][0].real, entries[i][0].imag))
-    return SpectrumReport(entries=tuple(entries[i] for i in order),
-                          err=tuple(err[i] for i in order), source=source)
+    return SpectrumReport(entries=tuple([entries[i] for i in order]),
+                          err=tuple([err[i] for i in order]), source=source)
 
 
 def _walk_charpoly(g: Graph) -> tuple[int, list[int]]:
@@ -329,8 +319,8 @@ def _walk_charpoly(g: Graph) -> tuple[int, list[int]]:
     """
     walk = transition_matrix(g)
     scale = walk.integer_form[0]
-    coeffs = reversed_charpoly(walk).coeffs
-    e = [c.numerator * (scale ** k // c.denominator) for k, c in enumerate(coeffs)]
+    s, ints = reversed_charpoly(walk).integer_form  # e_k / L^k = ints[k] / s
+    e = [x * scale ** k // s for k, x in enumerate(ints)]
     return scale, [0] * (g.n + 1 - len(e)) + e[::-1]
 
 
@@ -405,7 +395,7 @@ def _direct_spectrum(g: Graph, mapped: SpectrumReport | None) -> SpectrumReport:
     """`spectrum(g)`, its values other than +-1 taken from `mapped`: the
     Konno-Sato spectrum, or None for a graph without edges."""
     ints = reversed_charpoly(grover_matrix(g)).integer_form[1]
-    chi = [0] * (2 * g.m + 1 - len(ints)) + ints[::-1]  # det(lambda I - U), scaled
+    chi = [0] * (2 * g.m + 1 - len(ints)) + list(ints[::-1])  # det(lambda I - U), scaled
     units = {1: 0, -1: 0}
     for unit in units:
         while True:  # synthetic division by lambda - unit; rest[-1] is chi(unit)

@@ -116,3 +116,62 @@ def bareiss_det(matrix: ExactMatrix) -> Fraction:
             rows[i][k] = 0
         prev = pivot
     return Fraction(sign * rows[n - 1][n - 1], scale)
+
+
+# The tests' polynomial oracle: tuples of Fractions in ascending powers,
+# trimmed, with Euclid's gcd over the rationals. It shares no code with
+# azw's integer forms or its modular gcd, so checking `ExactPolynomial`,
+# `poly_gcd` or `ExactRationalFunction.from_parts` against it compares
+# two independent computations.
+
+def frac_trim(coeffs) -> tuple[Fraction, ...]:
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def frac_add(a, b, sign: int = 1) -> tuple[Fraction, ...]:
+    n = max(len(a), len(b))
+    return frac_trim((a[k] if k < len(a) else 0) + sign * (b[k] if k < len(b) else 0)
+                     for k in range(n))
+
+
+def frac_mul(a, b) -> tuple[Fraction, ...]:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return frac_trim(out)
+
+
+def frac_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(q, r) with a = q b + r and deg r < deg b, b nonzero."""
+    rem = list(a)
+    dq = len(rem) - len(b)
+    if dq < 0:
+        return (), tuple(a)
+    quot = [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        q = quot[k] = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= q * y
+    return frac_trim(quot), frac_trim(rem)
+
+
+def frac_gcd(a, b) -> tuple[Fraction, ...]:
+    """The monic gcd over the rationals (Euclid); () for two zeros."""
+    while b:
+        a, b = b, frac_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+def frac_reduce(num, den) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """num/den in lowest terms with a monic denominator, den nonzero."""
+    if not num:
+        return (), (Fraction(1),)
+    g = frac_gcd(num, den)
+    num, den = frac_divmod(num, g)[0], frac_divmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +23,19 @@ from azw import (
 )
 import azw.matrices as matrices
 import azw.polynomials as polynomials
-from azw.errors import NonSquareError, PoleError
-from conftest import bareiss_det, connected_graphs, recording, word_prime_count
+from azw.errors import InvalidParameterError, NonSquareError, PoleError, PrecisionError
+from conftest import (
+    bareiss_det,
+    connected_graphs,
+    frac_add,
+    frac_divmod,
+    frac_gcd,
+    frac_mul,
+    frac_reduce,
+    frac_trim,
+    recording,
+    word_prime_count,
+)
 from test_matrices import CORPUS_DET_U
 
 F = Fraction
@@ -344,3 +355,125 @@ def test_polynomial_json_round_trip():
     assert ExactPolynomial.from_json(p.to_json()) == p
     f = ExactRationalFunction.from_parts(P([1, 1]), P([2, 0, 1]))
     assert ExactRationalFunction.from_json(f.to_json()) == f
+
+
+def test_monomial_refuses_a_negative_power():
+    assert ExactPolynomial.monomial(0, 5) == P([5])
+    assert ExactPolynomial.monomial(2, F(-1, 2)) == P([0, 0, F(-1, 2)])
+    assert ExactPolynomial.monomial(3, 0).is_zero
+    for power in (-1, -3):
+        with pytest.raises(InvalidParameterError):
+            ExactPolynomial.monomial(power)
+
+
+def test_rational_function_eval_past_the_float_range():
+    # den(x) = x^2 - 1 is past the float range at both points; the old
+    # near-pole tolerance max(1, |x|)^2 overflowed at each
+    f = ExactRationalFunction.from_parts(P([1]), P([-1, 0, 1]))
+    for x in (1e200, 1e155, -1e155j):
+        with pytest.raises(PrecisionError):
+            rational_function_eval(f, x)
+    assert rational_function_eval(f, 1e100) == 1e-200
+    with pytest.raises(PrecisionError):
+        rational_function_eval(ExactRationalFunction.from_polynomial(P([0, 0, 1])), 1e200)
+
+
+# Random rational polynomials against the Fraction oracle of conftest:
+# numerators up to 10^30 over pairwise coprime denominators, so L grows
+# large; some monic, and pairs that share a factor of positive degree.
+big_fractions = st.builds(F, st.integers(-10 ** 30, 10 ** 30),
+                          st.sampled_from((1, 2, 3, 5, 7, 11, 13)))
+
+
+@st.composite
+def rational_coeffs(draw, max_degree: int = 6):
+    coeffs = draw(st.lists(big_fractions, max_size=max_degree + 1))
+    if coeffs and draw(st.booleans()):
+        coeffs[-1] = F(1)
+    return frac_trim(coeffs)
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two coefficient tuples of degree at most 6; in half the pairs both
+    are multiples of one factor of degree 1 to 3."""
+    if not draw(st.booleans()):
+        return draw(rational_coeffs()), draw(rational_coeffs())
+    factor = draw(rational_coeffs(3).filter(lambda c: len(c) > 1))
+    rest = 7 - len(factor)
+    return (frac_mul(draw(rational_coeffs(rest)), factor),
+            frac_mul(draw(rational_coeffs(rest)), factor))
+
+
+def _held_canonically(p: ExactPolynomial, coeffs) -> bool:
+    """p is coeffs, held as the form (lcm of the denominators, ints)."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    form = (scale, tuple(int(c * scale) for c in coeffs))
+    scale, ints = p.integer_form
+    return (p.coeffs == tuple(coeffs) and p.integer_form == form
+            and scale > 0 and gcd(scale, *ints) == 1 and (not ints or ints[-1]))
+
+
+def _reciprocal(num, den):
+    """The oracle's u -> f(1/u) for f = num/den."""
+    shift = len(den) - len(num)
+    num, den = frac_trim(num[::-1]), frac_trim(den[::-1])
+    if shift >= 0:
+        return frac_reduce((F(0),) * shift + num, den)
+    return frac_reduce(num, (F(0),) * -shift + den)
+
+
+@given(rational_pairs(), big_fractions)
+@settings(max_examples=100, deadline=None)
+def test_polynomial_arithmetic_agrees_with_fractions(pair, c):
+    a, b = pair
+    pa, pb = P(a), P([str(x) for x in b])
+    want = [(pa, a), (pb, b), (pa + pb, frac_add(a, b)), (pa - pb, frac_add(a, b, -1)),
+            (pa * pb, frac_mul(a, b)), (-pa, frac_trim(-x for x in a)),
+            (pa.scale(c), frac_trim(c * x for x in a)), (pa.reversed(), frac_trim(a[::-1])),
+            (pa ** 2, frac_mul(a, a))]
+    if b:
+        want += zip(pa.divmod(pb), frac_divmod(a, b))
+    for got, coeffs in want:
+        assert _held_canonically(got, coeffs), (got, coeffs)
+    for u in (F(1, 3), F(-7, 2), 5):
+        assert pa(u) == sum(x * F(u) ** k for k, x in enumerate(a))
+
+
+@given(rational_pairs())
+@settings(max_examples=100, deadline=None)
+def test_gcd_and_reduction_agree_with_fractions(pair):
+    a, b = pair
+    g = poly_gcd(P(a), P(b))
+    assert _held_canonically(g, frac_gcd(a, b))
+    assert g.is_zero or g.leading() == 1
+    if not b:
+        return
+    f = ExactRationalFunction.from_parts(P(a), P(b))
+    num, den = frac_reduce(a, b)
+    assert _held_canonically(f.num, num) and _held_canonically(f.den, den)
+    assert f.den.leading() == 1
+    r = f.reciprocal_argument()
+    num, den = _reciprocal(num, den)
+    assert _held_canonically(r.num, num) and _held_canonically(r.den, den)
+    assert r.den.leading() == 1
+
+
+@given(rational_pairs(), big_fractions.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_equal_polynomials_have_equal_forms_and_hashes(pair, c):
+    a, b = pair
+    p = P(a)
+    for same in (p.scale(2).scale(F(1, 2)), p.scale(c).scale(1 / c), P([str(x) for x in a]),
+                 p + ExactPolynomial.zero(), (p * P([c, 1])).divmod(P([c, 1]))[0],
+                 ExactPolynomial.from_json(p.to_json())):
+        assert same == p
+        assert same.integer_form == p.integer_form and hash(same) == hash(p)
+    zero = ExactPolynomial.zero()
+    for none in (p - p, p.scale(0), P([0, 0])):
+        assert none == zero and none.integer_form == (1, ()) and hash(none) == hash(zero)
+    if b:
+        f = ExactRationalFunction.from_parts(p, P(b))
+        h = P(b) * P([c, 1])
+        same = ExactRationalFunction.from_parts(p * h, P(b) * h)
+        assert same == f and hash(same) == hash(f)
