@@ -9,9 +9,10 @@ forms those zetas produce, by three mutually cross-checking methods.
 `import azw` loads no submodule. A public name is resolved on first
 access (PEP 562 `__getattr__`): its home module in `_HOMES` is imported
 and the name is stored in this namespace, so every later lookup is a
-plain attribute read. What a first access loads:
+plain attribute read. What a first access loads, besides `azw.errors`
+and `azw._record` (the base of the immutable records):
 
-* `azw.graphs` names: graphs alone (and `azw.errors`);
+* `azw.graphs` names: graphs alone;
 * `azw.matrices` names: graphs and matrices;
 * `azw.polynomials` names: graphs, matrices and polynomials;
 * `azw.zeta` names: those three and zeta;
@@ -22,6 +23,12 @@ plain attribute read. What a first access loads:
 
 The submodule names in `__all__` resolve the same way. azw needs nothing
 outside the standard library: the spectra come from the exact charpolys.
+The records are plain `__slots__` classes on `azw._record`, which
+generates no code, so no azw module loads `inspect` (nor `ast`, `dis`
+or `tokenize`). multizeta and abszeta load no `fractions` (nor, through
+it, `decimal`): only the exact layer, matrices, polynomials and zeta,
+imports it. `azw.cli` says what each command loads and how long its
+import takes.
 """
 
 from time import perf_counter as _perf_counter

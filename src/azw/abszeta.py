@@ -29,9 +29,9 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import (
     DomainError,
     IdentityCheckError,
@@ -70,31 +70,29 @@ _DE_KEEP = 1e-20
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class CyclotomicForm:
+class CyclotomicForm(Record):
     """Exponent data of x^(l/2) * prod(x^m(i)-1) / prod(x^n(j)-1)."""
 
-    l: int
-    num_exponents: tuple[int, ...]
-    den_exponents: tuple[int, ...]
+    __slots__ = ("l", "num_exponents", "den_exponents")
 
-    def __post_init__(self):
-        if type(self.l) is not int:  # bool is an int subclass
-            raise InvalidParameterError(f"monomial power l must be an int, got {self.l!r}")
-        if self.l % 2 != 0:
-            raise OddPowerError(f"monomial power l = {self.l} must be even")
+    def __init__(self, l: int, num_exponents: tuple[int, ...], den_exponents: tuple[int, ...]):
+        if type(l) is not int:  # bool is an int subclass
+            raise InvalidParameterError(f"monomial power l must be an int, got {l!r}")
+        if l % 2 != 0:
+            raise OddPowerError(f"monomial power l = {l} must be even")
         # any iterable of exponents is stored as a tuple, so equal forms
         # compare and hash equal
-        for name in ("num_exponents", "den_exponents"):
+        exponents = []
+        for name, given in (("num_exponents", num_exponents), ("den_exponents", den_exponents)):
             try:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+                exponents.append(tuple(given))
             except TypeError:
                 raise InvalidParameterError(
-                    f"{name} must be an iterable of exponents, got {getattr(self, name)!r}"
-                ) from None
-        for e in self.num_exponents + self.den_exponents:
+                    f"{name} must be an iterable of exponents, got {given!r}") from None
+        for e in exponents[0] + exponents[1]:
             if type(e) is not int or e < 1:
                 raise InvalidParameterError(f"exponents must be positive integers, got {e!r}")
+        self._set(l, *exponents)
 
     @property
     def a(self) -> int:
@@ -140,13 +138,15 @@ class CyclotomicForm:
         return {"l": self.l, "m": list(self.num_exponents), "n": list(self.den_exponents)}
 
 
-@dataclass(frozen=True)
-class AbsZetaValue:
+class AbsZetaValue(Record):
     """Complex value with the method that produced it and an error estimate."""
 
-    value: complex
-    method: str
-    error: float
+    __slots__ = ("value", "method", "error")
+
+    def __init__(self, value: complex, method: str, error: float):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "error", error)
 
     def to_dict(self) -> dict:
         return {"value": [self.value.real, self.value.imag],
@@ -492,14 +492,11 @@ def cycle_zeta_form(n: int) -> CyclotomicForm:
     return CyclotomicForm(l=0, num_exponents=(), den_exponents=(n, n))
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
-    n: int
-    s: float
-    lhs: complex
-    rhs: complex
-    residual: float
-    ok: bool
+class FunctionalEquationReport(Record):
+    __slots__ = ("n", "s", "lhs", "rhs", "residual", "ok")
+
+    def __init__(self, n: int, s: float, lhs: complex, rhs: complex, residual: float, ok: bool):
+        self._set(n, s, lhs, rhs, residual, ok)
 
     def to_dict(self) -> dict:
         return {

@@ -16,7 +16,13 @@ so they count in the `import` line and not in `elapsed`: `graph` loads
 azw.graphs; `zeta`, `verify` and `abszeta spectrum` azw.zeta;
 `abszeta Z`, `abszeta zeta` and `verify functional-eq` azw.abszeta,
 which runs without the exact layer. No command loads a package from
-outside the standard library.
+outside the standard library, nor `inspect`: the records are plain
+classes that generate no code. The numeric family (azw.abszeta) loads
+neither `fractions` nor `decimal`. Dropping those took the median
+`import` line of 11 runs (CPython 3.11.7, bytecode caching off, so azw's
+sources compile on every run) from 31.9 to 22.8 ms for `graph info`,
+from 66.2 to 48.7 ms for `zeta grover`, and from 56.1 to 37.2 ms for
+`abszeta zeta`.
 
 The parser accepts no abbreviated option and has `--help` but no `-h`.
 An option that takes a value takes the next token whatever it looks like,

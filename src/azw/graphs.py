@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -21,12 +21,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Validated simple connected graph."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        self._set(n, edges)
 
     @property
     def m(self) -> int:
@@ -51,14 +52,16 @@ class Graph:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
 
 
-@dataclass(frozen=True)
-class ArcTable:
+class ArcTable(Record):
     """Oriented edges of a graph in canonical order.
 
     Arc k = (origin, terminus); the inverse of arc k is arc k XOR 1.
     """
 
-    arcs: tuple[tuple[int, int], ...]
+    __slots__ = ("arcs",)
+
+    def __init__(self, arcs: tuple[tuple[int, int], ...]):
+        self._set(arcs)
 
     def __len__(self) -> int:
         return len(self.arcs)

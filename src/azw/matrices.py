@@ -22,6 +22,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
 
+from ._record import Record
 from .errors import InvalidParameterError, NonSquareError
 from .graphs import Graph, arc_table
 
@@ -123,7 +124,7 @@ def _crt_lift(bound: int, residues) -> list[int]:
     return [e - modulus if e > half else e for e in lifted]
 
 
-class ExactMatrix:
+class ExactMatrix(Record):
     """Immutable rectangular matrix over the rationals, held as its
     integer form.
 
@@ -148,9 +149,9 @@ class ExactMatrix:
         flat = list(chain.from_iterable(rows))
         scale = lcm(*(x.denominator for x in flat))
         ints = tuple(x.numerator * (scale // x.denominator) for x in flat)
-        self._set(len(rows), width, scale, ints)
+        self._set_form(len(rows), width, scale, ints)
 
-    def _set(self, rows: int, cols: int, scale: int, ints: tuple[int, ...]) -> None:
+    def _set_form(self, rows: int, cols: int, scale: int, ints: tuple[int, ...]) -> None:
         # as with rows of entries, a matrix without rows has no columns
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols if rows else 0)
@@ -174,11 +175,8 @@ class ExactMatrix:
                 scale //= g
                 ints = tuple([x // g for x in ints])
         m = cls.__new__(cls)
-        m._set(rows, cols, scale, ints)
+        m._set_form(rows, cols, scale, ints)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
         return ExactMatrix._from_ints, (self.rows, self.cols, *self.integer_form)

@@ -24,11 +24,10 @@ import cmath
 import math
 import numbers
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iproduct
 
+from ._record import Record
 from .errors import (
     DomainError,
     InvalidParameterError,
@@ -54,8 +53,7 @@ _SERIES_BLOCK = 256
 _REFOLD_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
+class PrecisionPolicy(Record):
     """Relative error the numerical kernels aim for.
 
     target is a finite number in [1e-13, 1): below 1e-13 double precision
@@ -63,56 +61,58 @@ class PrecisionPolicy:
     AZW_PRECISION environment variable sets it for the command line.
     """
 
-    target: float = 1e-13
+    __slots__ = ("target",)
 
-    def __post_init__(self):
-        if not 1e-13 <= self.target < 1.0:
+    def __init__(self, target: float = 1e-13):
+        if not 1e-13 <= target < 1.0:
             raise InvalidParameterError(
-                f"target must be a relative error in [1e-13, 1), got {self.target}")
+                f"target must be a relative error in [1e-13, 1), got {target}")
+        self._set(target)
 
 
 DEFAULT_POLICY = PrecisionPolicy()
 
 
-@dataclass(frozen=True)
-class MultiZetaParams:
+class MultiZetaParams(Record):
     """Order, shift and period vector of a multiple Hurwitz zeta."""
 
-    order: int
-    shift: complex
-    periods: tuple[float, ...]
+    __slots__ = ("order", "shift", "periods")
 
-    def __post_init__(self):
-        if self.order not in (1, 2, 3):
-            raise InvalidParameterError(f"order must be 1, 2 or 3, got {self.order}")
+    def __init__(self, order: int, shift: complex, periods: tuple[float, ...]):
+        if order not in (1, 2, 3):
+            raise InvalidParameterError(f"order must be 1, 2 or 3, got {order}")
         try:  # a tuple, so equal parameters compare and hash equal
-            object.__setattr__(self, "periods", tuple(self.periods))
+            periods = tuple(periods)
         except TypeError:
-            raise InvalidParameterError(f"periods must be iterable, got {self.periods!r}") from None
-        if len(self.periods) != self.order:
+            raise InvalidParameterError(f"periods must be iterable, got {periods!r}") from None
+        if len(periods) != order:
             raise InvalidParameterError("period count must equal the order")
-        if not all(isinstance(w, numbers.Real) and 0 < w < math.inf for w in self.periods):
-            raise InvalidParameterError(f"periods must be finite positive reals, got {self.periods}")
-        if not (isinstance(self.shift, numbers.Number) and cmath.isfinite(self.shift)):
-            raise InvalidParameterError(f"shift must be a finite number, got {self.shift!r}")
+        if not all(isinstance(w, numbers.Real) and 0 < w < math.inf for w in periods):
+            raise InvalidParameterError(f"periods must be finite positive reals, got {periods}")
+        if not (isinstance(shift, numbers.Number) and cmath.isfinite(shift)):
+            raise InvalidParameterError(f"shift must be a finite number, got {shift!r}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "periods", periods)
 
     @property
     def equal_periods(self) -> bool:
         return len(set(self.periods)) == 1
 
 
-def _bernoulli_numbers(upto: int) -> list[Fraction]:
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0
-    out = [Fraction(1)]
-    for m in range(1, upto + 1):
-        acc = sum(Fraction(math.comb(m + 1, j)) * out[j] for j in range(m))
-        out.append(-acc / (m + 1))
-    return out
-
-
-_BERNOULLI = _bernoulli_numbers(30)
-# B_2j/(2j)! for j = 1..15 at index j - 1
-_HURWITZ_TAIL = tuple(float(_BERNOULLI[2 * j]) / math.factorial(2 * j) for j in range(1, 16))
+# B_0..B_30 as (numerator, denominator) in lowest terms, the solution of
+# sum_{j=0}^{m} C(m+1, j) B_j = 0; written out, so that no Fraction
+# arithmetic runs at import (the tests check them against the recurrence)
+_BERNOULLI = (
+    (1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1), (-1, 30), (0, 1),
+    (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6), (0, 1), (-3617, 510), (0, 1),
+    (43867, 798), (0, 1), (-174611, 330), (0, 1), (854513, 138), (0, 1),
+    (-236364091, 2730), (0, 1), (8553103, 6), (0, 1), (-23749461029, 870), (0, 1),
+    (8615841276005, 14322),
+)
+# B_2j/(2j)! for j = 1..15 at index j - 1; num / den is correctly rounded
+_HURWITZ_TAIL = tuple(num / den / math.factorial(2 * j)
+                      for j, (num, den) in enumerate(_BERNOULLI[2::2], 1))
 
 
 # zeta(-k, a) for k up to this is a Bernoulli polynomial of _BERNOULLI
@@ -123,9 +123,14 @@ _EXACT_DEGREE = 28
 def _bernoulli_ints(k: int) -> tuple[int, tuple[int, ...]]:
     """(D, D c_i) for B_(k+1)(x) = sum_i c_i x^i, c_i = C(k+1, i) B_(k+1-i),
     D the lcm of the c_i's denominators."""
-    coeffs = [math.comb(k + 1, i) * _BERNOULLI[k + 1 - i] for i in range(k + 2)]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+    coeffs = []
+    for i in range(k + 2):
+        num, den = _BERNOULLI[k + 1 - i]
+        num *= math.comb(k + 1, i)
+        g = math.gcd(num, den)
+        coeffs.append((num // g, den // g))
+    common = math.lcm(*(den for _, den in coeffs))
+    return common, tuple(num * (common // den) for num, den in coeffs)
 
 
 def _bernoulli_value(k: int, a: float) -> float:

@@ -31,12 +31,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 
+from ._record import Record
 from .errors import InvalidParameterError, NonSquareError, PoleError, PrecisionError
 # _PRIMES and _prime are re-exported: the charpoly runs on these primes
 from .matrices import _PRIMES, ExactMatrix, _crt_lift, _prime, _unit_pivot  # noqa: F401
@@ -50,14 +50,24 @@ def _trim_ints(a: list[int]) -> list[int]:
     return a
 
 
-@dataclass(frozen=True)
-class ExactPolynomial:
+class ExactPolynomial(Record):
     """p held as `integer_form` = (L, A): L > 0 the lcm of the reduced
     coefficient denominators, A = L*p as a tuple of ints with a nonzero
     last entry, so gcd(L, *A) = 1 and equal polynomials have equal forms.
     Zero is (1, ()). Build one with `from_coeffs` or `_from_ints`."""
 
-    integer_form: tuple[int, tuple[int, ...]]
+    __slots__ = ("integer_form",)
+
+    def __init__(self, integer_form: tuple[int, tuple[int, ...]]):
+        object.__setattr__(self, "integer_form", integer_form)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.integer_form == other.integer_form
+
+    def __hash__(self) -> int:
+        return hash((self.integer_form,))
 
     @classmethod
     def _from_ints(cls, scale: int, ints) -> "ExactPolynomial":
@@ -178,8 +188,11 @@ class ExactPolynomial:
         scale, ints = self.integer_form
         exact = isinstance(x, (int, Fraction))
         acc = 0 if exact else 0.0 * x
-        for c in reversed(ints):
-            acc = acc * x + (c if exact else complex(c / scale))
+        try:
+            for c in reversed(ints):
+                acc = acc * x + (c if exact else complex(c / scale))
+        except OverflowError:  # only int / L can raise, on a coefficient past the float range
+            raise PrecisionError(f"a coefficient is past the float range at x = {x}") from None
         return Fraction(acc, scale) if exact else acc
 
     def to_json(self) -> str:
@@ -200,12 +213,22 @@ def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
     return ExactPolynomial._from_ints(g[-1], g)
 
 
-@dataclass(frozen=True)
-class ExactRationalFunction:
+class ExactRationalFunction(Record):
     """num/den in lowest terms, den monic and nonzero."""
 
-    num: ExactPolynomial
-    den: ExactPolynomial
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: ExactPolynomial, den: ExactPolynomial):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @classmethod
     def from_parts(cls, num: ExactPolynomial, den: ExactPolynomial) -> "ExactRationalFunction":

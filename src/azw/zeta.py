@@ -15,9 +15,9 @@ spectrum is the walk's, mapped and certified by the Konno-Sato identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import CertificateError, InvalidParameterError, SpectralMismatchError
 from .graphs import Graph, arc_table
 from .matrices import (
@@ -86,14 +86,14 @@ def ihara_zeta(g: Graph, route: str = "bass") -> ExactRationalFunction:
     raise InvalidParameterError(f"route must be 'edge' or 'bass', got {route!r}")
 
 
-@dataclass(frozen=True)
-class KonnoSatoReport:
+class KonnoSatoReport(Record):
     """Exact comparison of det(I - uU) against the vertex-side product."""
 
-    ok: bool
-    lhs: ExactPolynomial
-    rhs: ExactRationalFunction
-    mismatches: tuple[tuple[int, Fraction, Fraction], ...]
+    __slots__ = ("ok", "lhs", "rhs", "mismatches")
+
+    def __init__(self, ok: bool, lhs: ExactPolynomial, rhs: ExactRationalFunction,
+                 mismatches: tuple[tuple[int, Fraction, Fraction], ...]):
+        self._set(ok, lhs, rhs, mismatches)
 
     def to_dict(self) -> dict:
         return {
@@ -153,15 +153,14 @@ def verify_konno_sato(g: Graph) -> KonnoSatoReport:
     return KonnoSatoReport(ok=ok, lhs=lhs, rhs=rhs, mismatches=mismatches)
 
 
-@dataclass(frozen=True)
-class IharaRouteReport:
+class IharaRouteReport(Record):
     """Exact agreement of the two zeta routes plus the support identity."""
 
-    ok: bool
-    min_degree: int
-    routes_equal: bool
-    support_equals_edge_matrix: bool
-    zeta: ExactRationalFunction
+    __slots__ = ("ok", "min_degree", "routes_equal", "support_equals_edge_matrix", "zeta")
+
+    def __init__(self, ok: bool, min_degree: int, routes_equal: bool,
+                 support_equals_edge_matrix: bool, zeta: ExactRationalFunction):
+        self._set(ok, min_degree, routes_equal, support_equals_edge_matrix, zeta)
 
     def to_dict(self) -> dict:
         return {
@@ -247,14 +246,14 @@ def log_zeta_series(z: ExactRationalFunction, order: int) -> list[Fraction]:
     return [a - b for a, b in zip(log_num, log_den)]
 
 
-@dataclass(frozen=True)
-class CycleSeriesReport:
+class CycleSeriesReport(Record):
     """Reduced-cycle counts against r * [u^r] log Z, both exact."""
 
-    ok: bool
-    r_max: int
-    counts: tuple[int, ...]
-    from_series: tuple[Fraction, ...]
+    __slots__ = ("ok", "r_max", "counts", "from_series")
+
+    def __init__(self, ok: bool, r_max: int, counts: tuple[int, ...],
+                 from_series: tuple[Fraction, ...]):
+        self._set(ok, r_max, counts, from_series)
 
     def to_dict(self) -> dict:
         return {
@@ -281,15 +280,16 @@ def verify_ihara_series(g: Graph, r_max: int = 6) -> CycleSeriesReport:
     return CycleSeriesReport(ok=ok, r_max=r_max, counts=counts, from_series=from_series)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Eigenvalues with multiplicities and provenance. err[i] bounds the
     distance from entries[i]'s value to the eigenvalue it stands for,
     rounding included, so it is 0 only where the double is exact."""
 
-    entries: tuple[tuple[complex, int], ...]
-    err: tuple[float, ...]
-    source: str  # "direct" | "konno_sato_mapped"
+    __slots__ = ("entries", "err", "source")
+
+    def __init__(self, entries: tuple[tuple[complex, int], ...], err: tuple[float, ...],
+                 source: str):  # source: "direct" | "konno_sato_mapped"
+        self._set(entries, err, source)
 
     @property
     def dimension(self) -> int:
@@ -447,13 +447,15 @@ def matched_spectra(g: Graph) -> tuple[SpectrumReport, SpectrumReport]:
     return direct, mapped
 
 
-@dataclass(frozen=True)
-class AutomorphyCertificate:
-    """Witness of zeta(1/u) = sign * u^(-weight) * zeta(u)."""
+class AutomorphyCertificate(Record):
+    """Witness of zeta(1/u) = sign * u^(-weight) * zeta(u): sign is det
+    of the Grover operator, +1 or -1, weight is always -2m, and
+    max_residual is 0.0, as the identity is checked exactly."""
 
-    sign: int           # det of the Grover operator, +1 or -1
-    weight: int         # always -2m
-    max_residual: float  # 0.0: the identity is checked exactly
+    __slots__ = ("sign", "weight", "max_residual")
+
+    def __init__(self, sign: int, weight: int, max_residual: float):
+        self._set(sign, weight, max_residual)
 
     def to_dict(self) -> dict:
         return {"C": self.sign, "D": self.weight, "max_residual": self.max_residual}

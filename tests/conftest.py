@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -175,3 +175,13 @@ def frac_reduce(num, den) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     g = frac_gcd(num, den)
     num, den = frac_divmod(num, g)[0], frac_divmod(den, g)[0]
     return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def bernoulli_numbers(upto: int) -> list[Fraction]:
+    """B_0..B_upto from sum_{j=0}^{m} C(m+1, j) B_j = 0 in Fractions: the
+    oracle of azw's written-out Bernoulli table."""
+    out = [Fraction(1)]
+    for m in range(1, upto + 1):
+        acc = sum(Fraction(comb(m + 1, j)) * out[j] for j in range(m))
+        out.append(-acc / (m + 1))
+    return out

@@ -1,5 +1,9 @@
 """Neither numpy nor scipy ever loads, and `quad` stays patchable.
 
+No command loads `dataclasses` or `inspect`, and the numeric commands
+load neither `fractions` nor `decimal`: each would add to the start-up
+of every command process, and no command computes with it.
+
 The charpoly primes are also found on first use, never at import. Each
 CLI command loads only the azw modules it runs, and `import azw` none:
 the package resolves its public names on first access, and those names,
@@ -173,9 +177,9 @@ RUN_CLI = textwrap.dedent("""
     print(json.dumps([code, sorted(sys.modules)]))
 """)
 
-GRAPHS = ["azw", "azw.errors", "azw.graphs"]
+GRAPHS = ["azw", "azw._record", "azw.errors", "azw.graphs"]
 ZETA = sorted([*GRAPHS, "azw.matrices", "azw.polynomials", "azw.zeta"])
-ABSZETA = ["azw", "azw.abszeta", "azw.errors", "azw.multizeta"]  # no exact layer
+ABSZETA = ["azw", "azw._record", "azw.abszeta", "azw.errors", "azw.multizeta"]  # no exact layer
 
 
 COMMANDS = [
@@ -194,15 +198,43 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv, modules", COMMANDS,
-                         ids=[" ".join(argv[:2]) for argv, _ in COMMANDS])
-def test_each_command_loads_only_its_modules(tmp_path, argv, modules):
-    c4 = tmp_path / "c4.json"
+@pytest.fixture(scope="module")
+def run_cli(tmp_path_factory):
+    """argv -> [exit code, sorted sys.modules] of the command, run once in
+    a fresh interpreter; {c4} in argv names a file holding C4."""
+    c4 = tmp_path_factory.mktemp("cli") / "c4.json"
     c4.write_text(azw.generate("cycle", 4).to_json())
-    argv = [arg.format(c4=c4) for arg in argv]
-    code, loaded = json.loads(_child(RUN_CLI, json.dumps(argv)))
+    runs = {}
+
+    def run(argv: list[str]) -> list:
+        argv = [arg.format(c4=c4) for arg in argv]
+        key = tuple(argv)
+        if key not in runs:
+            runs[key] = json.loads(_child(RUN_CLI, json.dumps(argv)))
+        return runs[key]
+
+    return run
+
+
+COMMAND_IDS = [" ".join(argv[:2]) for argv, _ in COMMANDS]
+
+
+@pytest.mark.parametrize("argv, modules", COMMANDS, ids=COMMAND_IDS)
+def test_each_command_loads_only_its_modules(run_cli, argv, modules):
+    code, loaded = run_cli(argv)
     assert code == 0
     assert [m for m in loaded if m == "azw" or m.startswith("azw.")] == modules
     assert not any(m == "click" or m.startswith("click.") for m in loaded)
     assert not any(m == "numpy" or m.startswith("numpy.") for m in loaded)
 
+
+@pytest.mark.parametrize("argv, modules", COMMANDS, ids=COMMAND_IDS)
+def test_no_command_pays_for_imports_it_does_not_use(run_cli, argv, modules):
+    # `dataclasses` imports `inspect` (and with it ast, dis and tokenize)
+    # and generates each record's methods with exec; the numeric commands
+    # run no exact arithmetic, and `fractions` imports `decimal`
+    code, loaded = run_cli(argv)
+    assert code == 0
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+    if modules == ABSZETA:
+        assert {"fractions", "decimal"}.isdisjoint(loaded)

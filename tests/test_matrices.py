@@ -416,6 +416,9 @@ def test_matrix_is_immutable_and_picklable():
     m = ExactMatrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3
+    with pytest.raises(AttributeError):
+        del m.rows
+    assert m == ExactMatrix.identity(2)
     half = ExactMatrix.from_rows([["1/2", 0]])
     assert pickle.loads(pickle.dumps(half)) == half == copy.deepcopy(half)
     with pytest.raises(IndexError):

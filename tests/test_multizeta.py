@@ -31,13 +31,16 @@ from azw.errors import (
 )
 from azw.multizeta import (
     _BERNOULLI,
+    _EXACT_DEGREE,
+    _HURWITZ_TAIL,
     DEFAULT_POLICY,
+    _bernoulli_ints,
     _collapsed_series,
     _multiplicity_coeffs,
     digamma,
     multiple_hurwitz_zeta_finite_part,
 )
-from conftest import two_period_zeta
+from conftest import bernoulli_numbers, two_period_zeta
 
 EULER_GAMMA = 0.5772156649015329
 # coprime pairs, so `references.two_period_zeta` covers them
@@ -84,10 +87,28 @@ def test_params_store_periods_as_a_tuple():
 
 
 def test_bernoulli_table():
-    from fractions import Fraction
-    assert _BERNOULLI[2] == Fraction(1, 6)
-    assert _BERNOULLI[4] == Fraction(-1, 30)
-    assert _BERNOULLI[12] == Fraction(-691, 2730)
+    # (numerator, denominator) pairs, so that importing multizeta runs no
+    # Fraction arithmetic; the whole table is the recurrence's
+    assert _BERNOULLI[2] == (1, 6)
+    assert _BERNOULLI[4] == (-1, 30)
+    assert _BERNOULLI[12] == (-691, 2730)
+    assert [Fraction(*b) for b in _BERNOULLI] == bernoulli_numbers(30)
+    assert all(den > 0 and math.gcd(num, den) == 1 for num, den in _BERNOULLI)
+
+
+def test_hurwitz_tail_is_bit_identical_to_the_fraction_table():
+    oracle = bernoulli_numbers(30)
+    want = [float(oracle[2 * j]) / math.factorial(2 * j) for j in range(1, 16)]
+    assert [c.hex() for c in _HURWITZ_TAIL] == [c.hex() for c in want]
+
+
+def test_bernoulli_polynomial_ints_match_fractions():
+    # (D, D c_i) for B_(k+1)(x), c_i = C(k+1, i) B_(k+1-i) in Fractions
+    oracle = bernoulli_numbers(30)
+    for k in range(_EXACT_DEGREE + 1):
+        coeffs = [math.comb(k + 1, i) * oracle[k + 1 - i] for i in range(k + 2)]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        assert _bernoulli_ints(k) == (den, tuple(int(c * den) for c in coeffs)), k
 
 
 def test_basel():

@@ -378,6 +378,17 @@ def test_rational_function_eval_past_the_float_range():
         rational_function_eval(ExactRationalFunction.from_polynomial(P([0, 0, 1])), 1e200)
 
 
+def test_float_evaluation_with_a_coefficient_past_the_float_range():
+    # the coefficient 10^400 / L has no double; int / L raised a raw
+    # OverflowError from the float evaluation
+    den = P([-10 ** 400, 1])
+    f = ExactRationalFunction.from_parts(P([1]), den)
+    for evaluate in (lambda: den(2.0), lambda: den(2j), lambda: rational_function_eval(f, 2.0)):
+        with pytest.raises(PrecisionError, match="coefficient"):
+            evaluate()
+    assert den(2) == 2 - 10 ** 400  # the exact evaluation needs no float
+
+
 # Random rational polynomials against the Fraction oracle of conftest:
 # numerators up to 10^30 over pairwise coprime denominators, so L grows
 # large; some monic, and pairs that share a factor of positive degree.
