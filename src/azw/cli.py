@@ -109,10 +109,16 @@ def _rational_payload(f) -> dict:
 
 
 def _parse_exponents(raw: str) -> tuple[int, ...]:
+    """`--m`/`--n`'s comma list as ints; the empty string is no exponent.
+    Anything else that is not a list of ints is a usage error."""
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(int(part) for part in raw.split(","))
+    try:
+        return tuple(int(part) for part in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {raw!r}") from None
 
 
 # ------------------------------------------------------------------ graph
@@ -223,8 +229,7 @@ def verify_functional_eq_cmd(args):
 def _form_from_options(args):
     from .abszeta import CyclotomicForm
 
-    return CyclotomicForm(l=args.l, num_exponents=_parse_exponents(args.m),
-                          den_exponents=_parse_exponents(args.n))
+    return CyclotomicForm(l=args.l, num_exponents=args.m, den_exponents=args.n)
 
 
 def abszeta_Z(args):
@@ -317,8 +322,10 @@ def _file_or_corpus(parser) -> argparse.ArgumentParser:
 
 def _form_options(parser) -> argparse.ArgumentParser:
     parser.add_argument("--l", type=int, default=0, help="(default: %(default)s)")
-    parser.add_argument("--m", default="", help="Comma-separated numerator exponents.")
-    parser.add_argument("--n", required=True, help="Comma-separated denominator exponents.")
+    parser.add_argument("--m", type=_parse_exponents, default="",
+                        help="Comma-separated numerator exponents.")
+    parser.add_argument("--n", type=_parse_exponents, required=True,
+                        help="Comma-separated denominator exponents.")
     return parser
 
 

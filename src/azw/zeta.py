@@ -6,6 +6,12 @@ Bass form), the arc/vertex determinant identity linking Grover spectra to
 random-walk spectra, the reduced-cycle series definition, and the
 reciprocal-argument automorphy certificate.
 
+The vertex sides of Konno-Sato and, on regular graphs, of Bass are both
+substitutions into the n x n walk charpoly det(I - tP); Bass on an
+irregular graph takes the 2n x 2n block companion instead. The left sides
+they are checked against, det(I - uU) and det(I - uB), are 2m x 2m arc
+charpolys, so each identity still compares two independent computations.
+
 Everything marked "exact" below is checked on integer forms, with no
 tolerance. Spectra come from the exact charpolys: multiplicities are
 exact, each eigenvalue is a double with a certified `err`, and the Grover
@@ -64,18 +70,32 @@ def _times_circle_power(det: ExactPolynomial, k: int) -> ExactRationalFunction:
 
 
 def _bass_inverse_zeta(g: Graph) -> ExactRationalFunction:
-    """(1-u^2)^(betti-1) * det(I - uA + u^2 (D - I)) as a rational function."""
-    adj, deg = adjacency_and_degree(g)
-    det = poly_matrix_det(adj.scale(-1), deg - ExactMatrix.identity(g.n))
+    """(1-u^2)^(betti-1) * det(I - uA + u^2 (D - I)) as a rational function.
+
+    On a d-regular graph with d >= 1, A = dP and D = dI, so the
+    determinant is det((1 + (d-1)u^2) I - du P), read off the n x n walk
+    charpoly by `_walk_vertex_side`. Any other graph, K1 included (d = 0
+    has no walk), takes det(I + u(-A) + u^2 (D - I)) from the 2n x 2n
+    block companion of `poly_matrix_det`.
+    """
+    deg = g.degrees()
+    d = deg[0]
+    if d and deg.count(d) == g.n:
+        det = _walk_vertex_side(g, d, d - 1)
+    else:
+        adj, dia = adjacency_and_degree(g)
+        det = poly_matrix_det(adj.scale(-1), dia - ExactMatrix.identity(g.n))
     return _times_circle_power(det, g.betti - 1)
 
 
 def ihara_zeta(g: Graph, route: str = "bass") -> ExactRationalFunction:
     """Reduced-cycle zeta of g via the requested determinant route.
 
-    route="edge" inverts det(I - uB) for the non-backtracking arc matrix B;
-    route="bass" uses the vertex-level formula with the (1-u^2) Betti
-    prefactor. Both return the identical reduced rational function.
+    route="edge" inverts det(I - uB) for the 2m x 2m non-backtracking arc
+    matrix B; route="bass" uses the vertex-level formula with the (1-u^2)
+    Betti prefactor, from the walk charpoly on regular graphs and the
+    block companion on the others (`_bass_inverse_zeta`). Both return the
+    identical reduced rational function.
     """
     if route == "edge":
         p = reversed_charpoly(edge_matrix(g))
@@ -107,13 +127,15 @@ class KonnoSatoReport(Record):
         }
 
 
-def _konno_sato_vertex_side(g: Graph) -> ExactPolynomial:
-    """det((1+u^2) I - 2u P) from the n x n charpoly of P.
+def _walk_vertex_side(g: Graph, a: int, b: int) -> ExactPolynomial:
+    """det((1 + b u^2) I - a u P) from the n x n charpoly of P.
 
-    With det(I - tP) = sum c_k t^k and t = 2u/(1+u^2), the determinant is
-    (1+u^2)^n det(I - tP) = sum c_k (2u)^k (1+u^2)^(n-k), built by the
-    homogeneous Horner rule acc <- acc (1+u^2) + c_k (2u)^k in O(n^2),
-    run on the ints of the charpoly's integer form.
+    With det(I - tP) = sum c_k t^k and t = a u/(1 + b u^2), the
+    determinant is (1 + b u^2)^n det(I - tP) = sum c_k (a u)^k
+    (1 + b u^2)^(n-k), built by the homogeneous Horner rule
+    acc <- acc (1 + b u^2) + c_k (a u)^k in O(n^2), run on the ints of
+    the charpoly's integer form. Konno-Sato's side is (a, b) = (2, 1);
+    Bass's on a d-regular graph is (d, d - 1).
     """
     scale, c = reversed_charpoly(transition_matrix(g)).integer_form
     c += (0,) * (g.n + 1 - len(c))
@@ -122,8 +144,8 @@ def _konno_sato_vertex_side(g: Graph) -> ExactPolynomial:
         nxt = acc + [0, 0]
         for i, x in enumerate(acc):
             if x:
-                nxt[i + 2] += x
-        nxt[k] += c[k] * 2 ** k
+                nxt[i + 2] += b * x
+        nxt[k] += c[k] * a ** k
         acc = nxt
     return ExactPolynomial._from_ints(scale, acc)
 
@@ -139,7 +161,7 @@ def verify_konno_sato(g: Graph) -> KonnoSatoReport:
     when they do not.
     """
     lhs = reversed_charpoly(grover_matrix(g))
-    rhs = _times_circle_power(_konno_sato_vertex_side(g), g.m - g.n)
+    rhs = _times_circle_power(_walk_vertex_side(g, 2, 1), g.m - g.n)
     # a polynomial rhs has the monic constant denominator 1
     ok = rhs.is_polynomial and rhs.num == lhs
     if ok:

@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -37,6 +37,17 @@ def connected_graphs(draw, max_n: int = 7):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return build_graph(n, sorted(edges))
+
+
+@st.composite
+def circulant_graphs(draw, max_n: int = 12):
+    """Connected circulant graph on Z_n: i ~ i + s for each drawn offset s,
+    every offset coprime to n, so each alone already connects Z_n."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    units = [s for s in range(1, n // 2 + 1) if gcd(s, n) == 1]
+    offsets = draw(st.lists(st.sampled_from(units), min_size=1, unique=True))
+    return build_graph(n, sorted({(min(i, (i + s) % n), max(i, (i + s) % n))
+                                  for s in offsets for i in range(n)}))
 
 
 def two_period_zeta(mp, x, p: int, q: int, w, derivative: int = 0):

@@ -406,6 +406,9 @@ def test_negative_float_values_parse_as_values(argv, code, stdout):
     ("abszeta", "Z", "--n", "2,2", "--w", "x", "--s", "1"),       # not a float
     ("abszeta", "Z", "--n", "2,2", "--w", "3", "--s", "1", "--method", "bogus"),
     ("abszeta", "Z", "--n", "2,2", "--w", "3", "--s", "1", "--", "x"),
+    ("abszeta", "zeta", "--n", "2,x", "--s", "1"),                # not an int list
+    ("abszeta", "zeta", "--n", "2,,2", "--s", "1"),               # empty exponent
+    ("abszeta", "Z", "--n", "2,2", "--m", "1.5", "--w", "3", "--s", "1"),
     ("verify", "ihara-bass", "--corpus", "c4.json"),              # both FILE and --corpus
     ("graph", "info"),
     ("graph",),
@@ -415,6 +418,14 @@ def test_usage_errors_exit_2_with_nothing_on_stdout(argv):
     result = invoke(list(argv))
     assert (result.exit_code, result.stdout, result.exception) == (2, "", None)
     assert "usage:" in result.stderr
+
+
+def test_zero_exponent_is_a_domain_error_not_a_usage_error():
+    # `--n 0` parses as an int list; CyclotomicForm refuses the value
+    result = invoke(["abszeta", "zeta", "--n", "0", "--s", "1"])
+    assert (result.exit_code, result.stdout) == (1, _document("domain_error", {
+        "error": "InvalidParameterError",
+        "message": "exponents must be positive integers, got 0"}))
 
 
 def test_mellin_underflow_is_domain_error():

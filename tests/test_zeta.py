@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs
+from conftest import circulant_graphs, connected_graphs
 
 from azw import (
     ExactPolynomial,
@@ -62,8 +63,10 @@ def test_cycle_zeta_identity(n):
 
 
 def test_ihara_zeta_tree_is_one():
-    for route in ("edge", "bass"):
-        assert ihara_zeta(generate("complete", 2), route=route) == ExactRationalFunction.one()
+    # K1 has no walk, so its Bass side stays on the block companion
+    for g in (generate("complete", 2), build_graph(1, [])):
+        for route in ("edge", "bass"):
+            assert ihara_zeta(g, route=route) == ExactRationalFunction.one()
 
 
 def test_ihara_zeta_c3():
@@ -78,6 +81,51 @@ def test_ihara_routes_agree_on_corpus(corpus):
         assert rep.ok, name
         assert rep.routes_equal, name
         assert rep.support_equals_edge_matrix == (g.min_degree() >= 2), name
+
+
+@given(circulant_graphs())
+@settings(max_examples=15, deadline=None)
+def test_ihara_routes_agree_on_circulant_graphs(g):
+    assert ihara_zeta(g, "bass") == ihara_zeta(g, "edge")
+
+
+def _seeded_irregular_graph(seed: int, n: int = 9):
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n + 3:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    g = build_graph(n, sorted(edges))
+    assert len(set(g.degrees())) > 1
+    return g
+
+
+def test_bass_block_companion_serves_only_irregular_graphs(monkeypatch, corpus):
+    calls = []
+    companion = azw.zeta.poly_matrix_det
+    monkeypatch.setattr(azw.zeta, "poly_matrix_det",
+                        lambda a1, a2: calls.append(a1.rows) or companion(a1, a2))
+    regular = [g for g in corpus.values() if len(set(g.degrees())) == 1]
+    for g in regular + [generate("cycle", 36), generate("complete_bipartite", 4, 4)]:
+        ihara_zeta(g, "bass")
+    assert calls == []
+    for g in (corpus["S5"], generate("complete_bipartite", 3, 5), _seeded_irregular_graph(7)):
+        ihara_zeta(g, "bass")
+        assert calls == [g.n]
+        calls.clear()
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_a_perturbed_walk_vertex_side_fails_both_identities(monkeypatch, corpus, k):
+    # Bass and Konno-Sato read one walk charpoly, but each is checked
+    # against its own 2m x 2m arc charpoly, so a wrong vertex side shows
+    shared = azw.zeta._walk_vertex_side
+    monkeypatch.setattr(azw.zeta, "_walk_vertex_side",
+                        lambda g, a, b: shared(g, a, b) + ExactPolynomial.monomial(k))
+    g = corpus["petersen"]
+    routes = verify_ihara_routes(g)
+    assert (routes.routes_equal, routes.ok) == (False, False)
+    assert not verify_konno_sato(g).ok
 
 
 def test_ihara_route_argument_checked():
@@ -114,16 +162,27 @@ def test_konno_sato_corpus_exact(corpus):
 
 
 def test_konno_sato_vertex_side_matches_the_block_companion(corpus):
-    # the n x n route and det((1+u^2) I - 2uP) as a 2n x 2n block
-    # companion charpoly give the identical polynomial
-    from azw import ExactMatrix, poly_matrix_det, transition_matrix
-    from azw.zeta import _konno_sato_vertex_side
+    # the n x n walk-charpoly route and the 2n x 2n block companion charpoly
+    # give the identical polynomial: det((1+u^2) I - 2uP) on every graph,
+    # and Bass's det(I - uA + (d-1)u^2 I) = det((1+(d-1)u^2) I - duP) on the
+    # d-regular ones
+    from azw import ExactMatrix, adjacency_and_degree, poly_matrix_det, transition_matrix
+    from azw.zeta import _walk_vertex_side
 
     graphs = list(corpus.values()) + [generate("cycle", 36), generate("complete", 7),
                                       generate("complete_bipartite", 4, 7)]
     for g in graphs:
         block = poly_matrix_det(transition_matrix(g).scale(-2), ExactMatrix.identity(g.n))
-        assert _konno_sato_vertex_side(g) == block
+        assert _walk_vertex_side(g, 2, 1) == block
+
+    regular = [g for g in corpus.values() if len(set(g.degrees())) == 1]
+    regular += [generate("cycle", 36), generate("complete", 7),
+                generate("complete_bipartite", 4, 4)]
+    for g in regular:
+        d = g.degrees()[0]
+        adj, deg = adjacency_and_degree(g)
+        block = poly_matrix_det(adj.scale(-1), deg - ExactMatrix.identity(g.n))
+        assert _walk_vertex_side(g, d, d - 1) == block, g
 
 
 # reduced-cycle counts frozen from the enumeration oracle; each equals
