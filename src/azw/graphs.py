@@ -151,6 +151,9 @@ def generate(family: str, *params: int) -> Graph:
         if len(params) != count:
             raise InvalidParameterError(
                 f"family {family!r} takes {count} parameter(s), got {len(params)}")
+        for x in params:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InvalidParameterError(f"family {family!r} takes integers, got {x!r}")
 
     def cap(m):
         if m > _MAX_EDGES:

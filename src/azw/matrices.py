@@ -5,13 +5,12 @@ downstream hold exactly, never up to a tolerance. A matrix M is held as
 its one integer form (L, L*M), L the lcm of the entry denominators:
 the walk builders emit those ints directly, and arithmetic, hashing,
 equality and every exact kernel work on them. Fraction entries are
-derived only when read. An exact determinant is taken by one
-elimination modulo q, a product of word-size primes just large enough for
-a Hadamard bound, and lifted symmetrically. Over Z/q a pivot must be a
-unit; a nonzero zero-divisor pivot splits q into two coprime factors,
-each solved on its own and joined by one Chinese remainder step. The
-primes, the pivot rule and the lift live here and are shared with the
-charpoly kernel.
+derived only when read. The word-size primes, the unit-pivot rule and
+the symmetric lift live here; they serve the one determinant kernel, the
+Hessenberg charpoly in `polynomials`, which `det_exact` reads. A modulus
+q is a product of primes just large enough for a Hadamard bound, and a
+nonzero zero-divisor pivot splits q into two coprime factors, each
+solved on its own and joined by one Chinese remainder step.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from ._record import Record
 from .errors import InvalidParameterError, NonSquareError
@@ -293,59 +292,18 @@ class ExactMatrix(Record):
         return m
 
 
-def _det_mod(a, q: int) -> int:
-    """det(A) mod q for an integer matrix A, by Gaussian elimination over
-    Z/q with row swaps; q is a product of word primes.
-
-    Pivots are units (`_unit_pivot`): a column that is zero modulo q
-    gives det 0, and a nonzero zero-divisor pivot raises _Split, which
-    splits q. Zero entries are skipped, which keeps sparse walk matrices
-    cheap.
-    """
-    n = len(a)
-    h = [[x % q for x in row] for row in a]
-    det = 1
-    for k in range(n):
-        pivot = _unit_pivot(h, k, k, q)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            h[pivot], h[k] = h[k], h[pivot]
-            det = -det
-        hk = h[k]
-        det = det * hk[k] % q
-        inv = pow(hk[k], -1, q)
-        support = [(j, hk[j]) for j in range(k + 1, n) if hk[j]]
-        # column k below the pivot is never read again, so it is left stale
-        for i in range(k + 1, n):
-            hi = h[i]
-            c = hi[k]
-            if c:
-                c = c * inv % q
-                for j, y in support:
-                    hi[j] = (hi[j] - c * y) % q
-    return det
-
-
 def det_exact(matrix: ExactMatrix) -> Fraction:
-    """Exact determinant by one elimination modulo a product of word primes.
-
-    With (L, A) the integer form, det M = det A / L^n. By Hadamard,
-    |det A| is at most the product of A's row norms, so below
-    B = prod(isqrt(sum_j A_ij^2) + 1). det A is taken modulo q, a product
-    of word primes of `_prime` above 2B (`_det_mod`); pivots are units,
-    and a zero-divisor pivot splits q (`_crt_lift`). The symmetric lift
-    of the residue is det A. No prime is unlucky: the determinant commutes
-    with reduction mod q, and a singular residue is just the residue 0.
+    """Exact determinant, read off the charpoly kernel: det M is
+    (-1)^n times the coefficient of u^n in det(I - u*M)
+    (`polynomials.reversed_charpoly`), so it shares that kernel's prime
+    moduli, pivot rule, lift and cache.
     """
     if not matrix.is_square:
         raise NonSquareError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
-    scale, a = matrix.integer_form[0], matrix.integer_rows()
-    bound = 1
-    for row in a:
-        bound *= isqrt(sum(x * x for x in row if x)) + 1
-    (lifted,) = _crt_lift(bound, lambda q: (_det_mod(a, q),))
-    return Fraction(lifted, scale ** len(a))
+    from .polynomials import reversed_charpoly  # polynomials imports this module
+
+    top = reversed_charpoly(matrix).coeff(matrix.rows)
+    return -top if matrix.rows % 2 else top
 
 
 @lru_cache(maxsize=None)

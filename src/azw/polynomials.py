@@ -7,7 +7,7 @@ Fraction coefficients are derived only when read. Rational functions are
 kept in lowest terms with a monic denominator; any sign lives in the
 numerator, which makes the printable form unique.
 
-Every determinant polynomial goes through one kernel, `reversed_charpoly`:
+Every determinant goes through one kernel, `reversed_charpoly`:
 det(I - uM) is taken by one Hessenberg reduction modulo q on the matrix's
 integer form L*M (L the lcm of the denominators), q a product of
 word-size primes above twice a Hadamard bound on the coefficients, and
@@ -15,9 +15,9 @@ the residues are lifted symmetrically. Pivots are units modulo q; a
 zero-divisor pivot splits q into coprime factors that are solved apart
 and joined by Chinese remaindering. `poly_matrix_det` is the same kernel
 on a block companion, which it builds on the ints of the two blocks'
-integer forms, so no Fraction matrix arithmetic happens on the way. The
-primes, the pivot rule and the lift come from `matrices`, where
-`det_exact` uses them for elimination.
+integer forms, so no Fraction matrix arithmetic happens on the way.
+`matrices.det_exact` reads det M off the top coefficient of det(I - uM).
+The primes, the pivot rule and the lift come from `matrices`.
 
 Every gcd is one modular gcd, `_int_gcd`: its cofactors reduce rational
 functions, and it serves `poly_gcd` and Yun's squarefree factors. The
@@ -392,10 +392,10 @@ def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
     product of its rows' norms r_i, so |e_k| <= e_k(r) <= B =
     prod(1 + r_i). The charpoly of A is taken once modulo q, a product of
     word primes above 2B (`_charpoly_mod`); pivots are units, and a
-    zero-divisor pivot splits q (`_crt_lift`, shared with `det_exact`).
-    The symmetric lift of the residues is then exact. No prime is
-    unlucky: the charpoly commutes with reduction mod q. The constant
-    term of the result is always 1.
+    zero-divisor pivot splits q (`_crt_lift`). The symmetric lift of the
+    residues is then exact. No prime is unlucky: the charpoly commutes
+    with reduction mod q. The constant term of the result is always 1,
+    and its coefficient of u^n is (-1)^n det M, which `det_exact` reads.
     """
     if not matrix.is_square:
         raise NonSquareError("characteristic polynomial needs a square matrix")

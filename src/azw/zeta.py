@@ -29,7 +29,6 @@ from .graphs import Graph, arc_table
 from .matrices import (
     ExactMatrix,
     adjacency_and_degree,
-    det_exact,
     edge_matrix,
     grover_matrix,
     positive_support,
@@ -292,7 +291,7 @@ def verify_ihara_series(g: Graph, r_max: int = 6) -> CycleSeriesReport:
     Enumerated counts N_r must equal r * [u^r] log Z(G, u) as rationals,
     with log taken as a formal power series (no floating logs).
     """
-    if not 1 <= r_max <= 8:
+    if not isinstance(r_max, int) or isinstance(r_max, bool) or not 1 <= r_max <= 8:
         # below 1 nothing is checked; above 8 enumeration is unbounded
         raise InvalidParameterError(f"r_max must be in 1..8, got {r_max}")
     counts = count_reduced_cycles(g, r_max)
@@ -470,9 +469,10 @@ def matched_spectra(g: Graph) -> tuple[SpectrumReport, SpectrumReport]:
 
 
 class AutomorphyCertificate(Record):
-    """Witness of zeta(1/u) = sign * u^(-weight) * zeta(u): sign is det
-    of the Grover operator, +1 or -1, weight is always -2m, and
-    max_residual is 0.0, as the identity is checked exactly."""
+    """Witness of zeta(1/u) = sign * u^(-weight) * zeta(u): sign is
+    det U = (-1)^(m-n) for the Grover operator U (1 on K1), weight is
+    always -2m, and max_residual is 0.0, as the identity is checked
+    exactly."""
 
     __slots__ = ("sign", "weight", "max_residual")
 
@@ -486,24 +486,19 @@ class AutomorphyCertificate(Record):
 def automorphic_weight(g: Graph) -> AutomorphyCertificate:
     """Certify the reciprocal-argument automorphy of the Grover zeta.
 
-    With zeta = c / den, c constant, the identity holds exactly when den
-    has degree 2m and its coefficient reversal is sign * den; that is
-    checked exactly on the zeta's own parts, with the sign taken from a
-    computation independent of the charpoly: det U by modular elimination
-    (`det_exact`), not the Hessenberg recurrence. A failure would mean an
-    implementation bug, so it raises CertificateError. The identity is
-    exact, so max_residual is always 0.0.
+    The sign is the closed form det U = (-1)^(m-n), from the graph's
+    counts alone: U is the arc flip (m transpositions) times one coin
+    2J/d - I of det (-1)^(d-1) per vertex. K1's empty U has det 1. With
+    zeta = c / den, c constant, the identity holds exactly when den has
+    degree 2m and its coefficient reversal is sign * den. det(I - uU)
+    has constant term 1, so this forces its top coefficient, det U, to
+    equal the sign: the check compares the counts with the 2m x 2m
+    charpoly. A failure would mean an implementation bug, so it raises
+    CertificateError; max_residual is always 0.0.
     """
-    u = grover_matrix(g)
-    det_u = det_exact(u)
-    if det_u not in (1, -1):
-        raise CertificateError(f"det of Grover operator is {det_u}, expected +1 or -1")
-    sign = int(det_u)
-    weight = -2 * g.m
-
+    sign = (-1) ** ((g.m - g.n) % 2) if g.m else 1  # an int on trees too, where m - n = -1
     zeta = grover_zeta(g)
     den = zeta.den
-    rev = den.reversed()
-    if zeta.num.degree != 0 or den.degree != 2 * g.m or rev != den.scale(sign):
+    if zeta.num.degree != 0 or den.degree != 2 * g.m or den.reversed() != den.scale(sign):
         raise CertificateError("exact automorphy identity failed")
-    return AutomorphyCertificate(sign=sign, weight=weight, max_residual=0.0)
+    return AutomorphyCertificate(sign=sign, weight=-2 * g.m, max_residual=0.0)

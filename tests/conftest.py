@@ -92,10 +92,10 @@ def bareiss_det(matrix: ExactMatrix) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     The tests' determinant oracle: it shares no code with azw's modular
-    kernels (no primes, no Chinese remaindering), so checking `det_exact`
-    or a charpoly against it compares two independent computations. Rows
-    are scaled to integers first; the scaling is divided back out of the
-    integer determinant at the end.
+    charpoly kernel (no primes, no Chinese remaindering), so checking
+    `det_exact` or a charpoly against it compares two independent
+    computations. Rows are scaled to integers first; the scaling is
+    divided back out of the integer determinant at the end.
     """
     n = matrix.rows
     assert matrix.cols == n

@@ -100,6 +100,11 @@ def test_standard_families():
     ("star", (0,)),
     ("petersen", (5,)),
     ("moebius", ()),
+    # integer parameters only, as in build_graph: no float, str or bool
+    ("cycle", (3.5,)),
+    ("complete", ("4",)),
+    ("cycle", (True,)),
+    ("star", (True,)),
 ])
 def test_generate_rejections(family, params):
     with pytest.raises(InvalidParameterError):

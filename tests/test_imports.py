@@ -70,8 +70,8 @@ def test_import_azw_cli_finds_no_charpoly_primes():
 
 
 def test_polynomials_and_matrices_share_one_prime_list():
-    # det_exact and the charpoly find primes through one list, still empty
-    # after importing the CLI
+    # the charpoly's lift (matrices) and the gcd (polynomials) find primes
+    # through one list, still empty after importing the CLI
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     child = ("import azw.cli, azw.matrices, azw.polynomials; "

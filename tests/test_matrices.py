@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import azw.matrices as matrices
+import azw.polynomials as polynomials
 from azw import (
     ExactMatrix,
     adjacency_and_degree,
@@ -100,7 +101,7 @@ def test_det_exact_lifts_huge_entries_over_several_primes(monkeypatch):
     # numerators up to 1e30 over pairwise coprime denominators make the
     # Hadamard bound, and so the number of primes, large
     used = []
-    monkeypatch.setattr(matrices, "_det_mod", recording(matrices._det_mod, used))
+    monkeypatch.setattr(polynomials, "_charpoly_mod", recording(polynomials._charpoly_mod, used))
     rng = random.Random(20261019)
     coprime = (7, 11, 13, 17, 19, 23, 29, 31, 37)
     for _ in range(8):
@@ -110,16 +111,17 @@ def test_det_exact_lifts_huge_entries_over_several_primes(monkeypatch):
              for _ in range(n)])
         used.clear()
         assert det_exact(m) == bareiss_det(m), m
-        # one elimination carries every prime: its modulus is the product
-        # of at least three word primes, above twice the Hadamard bound
+        # one charpoly carries every prime: its modulus is the product of
+        # at least three word primes, above twice the Hadamard bound on
+        # the charpoly's coefficients
         bound = 1
         for row in m.integer_rows():
-            bound *= isqrt(sum(x * x for x in row)) + 1
+            bound *= isqrt(sum(x * x for x in row)) + 2
         (q,) = used
         assert word_prime_count(q) >= 3 and q > 2 * bound, used
 
 
-def test_det_exact_of_singular_matrices(monkeypatch):
+def test_det_exact_of_singular_matrices():
     rng = random.Random(11)
     for _ in range(10):
         n = rng.randint(2, 6)
@@ -134,24 +136,9 @@ def test_det_exact_of_singular_matrices(monkeypatch):
         assert det_exact(m) == 0 == bareiss_det(m), m
     assert det_exact(ExactMatrix.from_rows([[1, 0, 2], [3, 0, 4], [5, 0, 6]])) == 0
     assert det_exact(ExactMatrix.zeros(4, 4)) == 0
-    # zero modulo the first prime, but not zero: modulo q = p * _prime(1)
-    # the pivot p is a zero divisor, so q splits into its two primes
+    # zero modulo the first prime, but not zero
     p = matrices._prime(0)
-    used = []
-    monkeypatch.setattr(matrices, "_det_mod", recording(matrices._det_mod, used))
     assert det_exact(ExactMatrix.from_rows([[p, 0], [0, 1]])) == p
-    assert used == [p * matrices._prime(1), p, matrices._prime(1)]
-
-
-def test_a_zero_divisor_pivot_splits_the_modulus():
-    # modulo 15 the first column (3, 5) is nonzero but holds no unit
-    a = [[3, 1], [5, 2]]
-    with pytest.raises(matrices._Split) as split:
-        matrices._det_mod(a, 15)
-    assert split.value.factor == 3
-    assert matrices._solve_mod(15, lambda q: (matrices._det_mod(a, q),)) == [1]
-    # a column that is zero modulo q is no split: the determinant is 0
-    assert matrices._det_mod([[15, 1], [30, 2]], 15) == 0
 
 
 def test_det_exact_row_swap_signs():

@@ -14,6 +14,7 @@ from azw import (
     SpectrumReport,
     automorphic_weight,
     count_reduced_cycles,
+    det_exact,
     generate,
     grover_matrix,
     grover_zeta,
@@ -219,6 +220,13 @@ def test_ihara_series_r_max_capped():
     for r_max in (9, 0, -3):
         with pytest.raises(InvalidParameterError):
             verify_ihara_series(generate("cycle", 3), r_max=r_max)
+
+
+@pytest.mark.parametrize("r_max", [2.5, True])
+def test_ihara_series_r_max_must_be_an_integer(r_max):
+    # 2.5 reached the enumeration as a raw TypeError, True ran as 1
+    with pytest.raises(InvalidParameterError):
+        verify_ihara_series(generate("cycle", 3), r_max=r_max)
 
 
 def _as_multiset(report):
@@ -510,6 +518,62 @@ def test_automorphy_rejects_a_perturbed_charpoly(monkeypatch):
     monkeypatch.setattr(zeta_module, "grover_zeta", perturbed)
     with pytest.raises(CertificateError, match="exact automorphy"):
         automorphic_weight(generate("complete", 4))
+
+
+def _assert_sign_is_the_closed_form(g):
+    # det U = (-1)^(m-n), an int on trees too; K1's empty U has det 1
+    cert = automorphic_weight(g)
+    closed_form = (-1) ** ((g.m - g.n) % 2) if g.m else 1
+    assert type(cert.sign) is int, cert
+    assert cert.sign == closed_form == det_exact(grover_matrix(g)), g
+    assert cert.weight == -2 * g.m
+
+
+def test_automorphy_sign_is_the_closed_form(corpus):
+    for g in corpus.values():
+        _assert_sign_is_the_closed_form(g)
+    k1 = build_graph(1, [])
+    _assert_sign_is_the_closed_form(k1)
+    assert automorphic_weight(k1).sign == 1
+
+
+@given(connected_graphs())
+@settings(max_examples=15, deadline=None)
+def test_automorphy_sign_is_the_closed_form_on_random_graphs(g):
+    _assert_sign_is_the_closed_form(g)
+
+
+@given(circulant_graphs())
+@settings(max_examples=15, deadline=None)
+def test_automorphy_sign_is_the_closed_form_on_circulant_graphs(g):
+    _assert_sign_is_the_closed_form(g)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("cycle", (4,)), ("petersen", ()), ("complete", (2,))])
+def test_automorphy_rejects_a_charpoly_of_the_other_sign(monkeypatch, family, params):
+    # p -> p (1 + u) / (1 - u), a polynomial as 1 is an eigenvalue of U:
+    # still of degree 2m with constant term 1, and its reversal is still
+    # +-itself, but with the other sign, which only the closed form catches
+    from azw.errors import CertificateError
+
+    def flipped(g):
+        z = grover_zeta(g)
+        return ExactRationalFunction.from_parts(z.num * P([1, -1]), z.den * P([1, 1]))
+
+    monkeypatch.setattr(azw.zeta, "grover_zeta", flipped)
+    with pytest.raises(CertificateError, match="exact automorphy"):
+        automorphic_weight(generate(family, *params))
+
+
+def test_automorphy_takes_no_elimination(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("det_exact called")
+
+    monkeypatch.setattr(azw.matrices, "det_exact", refuse)
+    monkeypatch.setattr(azw.zeta, "det_exact", refuse, raising=False)
+    cert = automorphic_weight(generate("petersen"))
+    assert (cert.sign, cert.weight) == (-1, -30)
 
 
 def test_automorphy_certificates(corpus):
