@@ -221,16 +221,9 @@ def graph_from_json(text: str) -> Graph:
     return build_graph(n, edges)
 
 
-# Verification corpus: trees, m = n, m > n, regular and irregular degrees.
-CORPUS_NAMES = (
-    "K2",
-    "C3", "C4", "C5", "C6", "C7", "C8",
-    "K4", "K5", "K3,3", "S5", "petersen",
-)
-
-
 def builtin_corpus() -> tuple[tuple[str, Graph], ...]:
-    """Named graphs every identity in this package is verified against."""
+    """Named graphs every identity in this package is verified against:
+    trees, m = n, m > n, regular and irregular degrees."""
     out = [("K2", generate("complete", 2))]
     for n in range(3, 9):
         out.append((f"C{n}", generate("cycle", n)))

@@ -5,12 +5,9 @@ downstream hold exactly, never up to a tolerance. A matrix M is held as
 its one integer form (L, L*M), L the lcm of the entry denominators:
 the walk builders emit those ints directly, and arithmetic, hashing,
 equality and every exact kernel work on them. Fraction entries are
-derived only when read. The word-size primes, the unit-pivot rule and
-the symmetric lift live here; they serve the one determinant kernel, the
-Hessenberg charpoly in `polynomials`, which `det_exact` reads. A modulus
-q is a product of primes just large enough for a Hadamard bound, and a
-nonzero zero-divisor pivot splits q into two coprime factors, each
-solved on its own and joined by one Chinese remainder step.
+derived only when read. `det_exact` reads the one determinant kernel,
+the Hessenberg charpoly in `polynomials`, which owns all of the modular
+arithmetic.
 """
 
 from __future__ import annotations
@@ -24,104 +21,6 @@ from math import gcd, lcm
 from ._record import Record
 from .errors import InvalidParameterError, NonSquareError
 from .graphs import Graph, arc_table
-
-# Miller-Rabin with these bases is exact below 3.3e24, far above 2^62.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# The modular primes, largest first below 2^62, found on first use.
-_PRIMES: list[int] = []
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(i: int) -> int:
-    """The i-th largest prime below 2^62."""
-    while len(_PRIMES) <= i:
-        p = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
-        while not _is_prime(p):
-            p -= 2
-        _PRIMES.append(p)
-    return _PRIMES[i]
-
-
-class _Split(Exception):
-    """A column modulo a composite q with nonzero entries but no unit:
-    `factor` = gcd(entry, q) is a proper factor of q."""
-
-    def __init__(self, factor: int):
-        super().__init__(factor)
-        self.factor = factor
-
-
-def _unit_pivot(h: list[list[int]], col: int, start: int, q: int) -> int | None:
-    """The first row i >= start with h[i][col] a unit modulo q, or None
-    when the column is zero there. Raises _Split when the column has a
-    nonzero entry but no unit, which a prime q never does."""
-    factor = 0
-    for i in range(start, len(h)):
-        x = h[i][col]
-        if x:
-            g = gcd(x, q)
-            if g == 1:
-                return i
-            factor = factor or g
-    if factor:
-        raise _Split(factor)
-    return None
-
-
-def _solve_mod(q: int, residues) -> list[int]:
-    """residues(q), in [0, q). When a zero-divisor pivot splits q, the
-    coprime factors g and q/g are solved on their own and joined by one
-    Chinese remainder step; a prime never splits, so this ends."""
-    try:
-        return list(residues(q))
-    except _Split as split:
-        g = split.factor
-        h = q // g
-        inv = pow(g, -1, h)
-        return [x + g * ((y - x) * inv % h)
-                for x, y in zip(_solve_mod(g, residues), _solve_mod(h, residues))]
-
-
-def _crt_lift(bound: int, residues) -> list[int]:
-    """The integers of absolute value at most `bound` whose residues
-    modulo q are the values of residues(q).
-
-    q = _prime(0) * _prime(1) * ... stops growing once it exceeds
-    2 * bound, and residues runs once modulo q (or once per factor, if a
-    zero-divisor pivot splits q); the symmetric lift into (-q/2, q/2) is
-    then the integers themselves.
-    """
-    modulus, i = 1, 0
-    while modulus <= 2 * bound:
-        modulus *= _prime(i)
-        i += 1
-    lifted = _solve_mod(modulus, residues)
-    half = modulus // 2
-    return [e - modulus if e > half else e for e in lifted]
-
 
 class ExactMatrix(Record):
     """Immutable rectangular matrix over the rationals, held as its
@@ -295,8 +194,8 @@ class ExactMatrix(Record):
 def det_exact(matrix: ExactMatrix) -> Fraction:
     """Exact determinant, read off the charpoly kernel: det M is
     (-1)^n times the coefficient of u^n in det(I - u*M)
-    (`polynomials.reversed_charpoly`), so it shares that kernel's prime
-    moduli, pivot rule, lift and cache.
+    (`polynomials.reversed_charpoly`), so it shares that kernel and its
+    cache.
     """
     if not matrix.is_square:
         raise NonSquareError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")

@@ -11,13 +11,13 @@ Every determinant goes through one kernel, `reversed_charpoly`:
 det(I - uM) is taken by one Hessenberg reduction modulo q on the matrix's
 integer form L*M (L the lcm of the denominators), q a product of
 word-size primes above twice a Hadamard bound on the coefficients, and
-the residues are lifted symmetrically. Pivots are units modulo q; a
-zero-divisor pivot splits q into coprime factors that are solved apart
-and joined by Chinese remaindering. `poly_matrix_det` is the same kernel
-on a block companion, which it builds on the ints of the two blocks'
-integer forms, so no Fraction matrix arithmetic happens on the way.
-`matrices.det_exact` reads det M off the top coefficient of det(I - uM).
-The primes, the pivot rule and the lift come from `matrices`.
+the residues are lifted symmetrically. The pivot is the first nonzero
+entry modulo q, as over a prime field; when it is a zero divisor, q is
+skipped and the kernel reruns on the next primes. `poly_matrix_det` is
+the same kernel on a block companion, which it builds on the ints of
+the two blocks' integer forms, so no Fraction matrix arithmetic happens
+on the way. `matrices.det_exact` reads det M off the top coefficient of
+det(I - uM). The word primes, the pivot rule and the lift live here.
 
 Every gcd is one modular gcd, `_int_gcd`: its cofactors reduce rational
 functions, and it serves `poly_gcd` and Yun's squarefree factors. The
@@ -38,8 +38,7 @@ from math import gcd, isqrt, lcm
 
 from ._record import Record
 from .errors import InvalidParameterError, NonSquareError, PoleError, PrecisionError
-# _PRIMES and _prime are re-exported: the charpoly runs on these primes
-from .matrices import _PRIMES, ExactMatrix, _crt_lift, _prime, _unit_pivot  # noqa: F401
+from .matrices import ExactMatrix
 
 
 # Integer polynomials (integer forms, the gcd, the spectra): lists of ints in
@@ -316,6 +315,76 @@ def rational_function_eval(f: ExactRationalFunction, x) -> complex:
     return complex(num) / den
 
 
+# Miller-Rabin with these bases is exact below 3.3e24, far above 2^62.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The modular primes, largest first below 2^62, found on first use.
+_PRIMES: list[int] = []
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(i: int) -> int:
+    """The i-th largest prime below 2^62."""
+    while len(_PRIMES) <= i:
+        p = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+        while not _is_prime(p):
+            p -= 2
+        _PRIMES.append(p)
+    return _PRIMES[i]
+
+
+def _symmetric(residues, q: int) -> list[int]:
+    """The residues modulo q lifted into (-q/2, q/2]."""
+    half = q // 2
+    return [x - q if x > half else x for x in residues]
+
+
+def _crt_lift(bound: int, residues) -> list[int]:
+    """The integers of absolute value at most `bound` whose residues
+    modulo q are the values of residues(q).
+
+    q = _prime(0) * _prime(1) * ... stops growing once it exceeds
+    2 * bound, and the symmetric lift of residues(q) is then the integers
+    themselves. When a pivot is a zero divisor modulo q, residues raises
+    ValueError and runs again modulo the next primes, coprime to q. This
+    ends: the exact reduction has finitely many pivot values, so only
+    finitely many primes can divide one of them.
+    """
+    i = 0
+    while True:
+        modulus = 1
+        while modulus <= 2 * bound:
+            modulus *= _prime(i)
+            i += 1
+        try:
+            lifted = list(residues(modulus))
+        except ValueError:
+            continue
+        return _symmetric(lifted, modulus)
+
+
 def _charpoly_mod(a: list[list[int]], q: int) -> list[int]:
     """det(lambda I - A) mod q for an integer matrix A, ascending powers;
     q is a product of word primes.
@@ -324,15 +393,17 @@ def _charpoly_mod(a: list[list[int]], q: int) -> list[int]:
     then runs the subdiagonal recurrence for det(lambda I - H) on the
     leading principal blocks (Cohen, A Course in Computational Algebraic
     Number Theory, GTM 138, Alg. 2.2.9), which holds over Z/q as long as
-    every pivot is a unit (`_unit_pivot`). A column that is zero modulo q
-    is skipped; a nonzero zero-divisor pivot raises _Split, which splits
-    q. Zero entries are skipped, which keeps sparse walk matrices cheap.
+    every pivot is a unit. The pivot is the first entry nonzero mod q, as
+    over a field; a zero-divisor pivot raises ValueError from its inverse.
+    Zero entries are skipped, which keeps sparse walk matrices cheap.
     """
     n = len(a)
     h = [[x % q for x in row] for row in a]
     for m in range(1, n - 1):
-        pivot = _unit_pivot(h, m - 1, m, q)
-        if pivot is None:
+        for pivot in range(m, n):
+            if h[pivot][m - 1]:
+                break
+        else:
             continue  # column already reduced below the subdiagonal
         if pivot != m:
             h[pivot], h[m] = h[m], h[pivot]
@@ -391,11 +462,11 @@ def reversed_charpoly(matrix: ExactMatrix) -> ExactPolynomial:
     principal k-minors of A. By Hadamard each minor is at most the
     product of its rows' norms r_i, so |e_k| <= e_k(r) <= B =
     prod(1 + r_i). The charpoly of A is taken once modulo q, a product of
-    word primes above 2B (`_charpoly_mod`); pivots are units, and a
-    zero-divisor pivot splits q (`_crt_lift`). The symmetric lift of the
-    residues is then exact. No prime is unlucky: the charpoly commutes
-    with reduction mod q. The constant term of the result is always 1,
-    and its coefficient of u^n is (-1)^n det M, which `det_exact` reads.
+    word primes above 2B (`_charpoly_mod`), or on the next primes if a
+    pivot is a zero divisor (`_crt_lift`); the symmetric lift of the
+    residues is exact, as the charpoly commutes with reduction mod q. The
+    constant term of the result is always 1, and its coefficient of u^n
+    is (-1)^n det M, which `det_exact` reads.
     """
     if not matrix.is_square:
         raise NonSquareError("characteristic polynomial needs a square matrix")
@@ -513,8 +584,7 @@ def _int_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int
             inv = pow(modulus, -1, p)
             res = [x + modulus * ((y - x) * inv % p) for x, y in zip(res, g)]
             modulus *= p
-        half = modulus // 2
-        lift = _primitive([x - modulus if x > half else x for x in res])
+        lift = _primitive(_symmetric(res, modulus))
         pa, qa, ra = _pseudo_divmod(a, lift)
         if not any(ra):
             pb, qb, rb = _pseudo_divmod(b, lift)

@@ -220,6 +220,8 @@ def count_reduced_cycles(g: Graph, r_max: int) -> tuple[int, ...]:
     it twice is still backtrack-free). Sequences with different starting
     arcs are distinct, as are the two orientations.
     """
+    if not isinstance(r_max, int) or isinstance(r_max, bool):
+        raise InvalidParameterError(f"r_max must be an integer, got {r_max!r}")
     arcs = arc_table(g)
     size = len(arcs)
     succ = [[f for f in range(size)
@@ -257,6 +259,8 @@ def log_zeta_series(z: ExactRationalFunction, order: int) -> list[Fraction]:
 
     Requires z(0) = 1, which holds for every graph zeta here.
     """
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+        raise InvalidParameterError(f"series order must be an integer >= 0, got {order!r}")
     num0, den0 = z.num.coeff(0), z.den.coeff(0)
     if num0 == 0 or den0 == 0 or num0 != den0:
         raise InvalidParameterError("series log needs z(0) = 1")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from azw import ExactMatrix, build_graph, builtin_corpus
-from azw.matrices import _prime
+from azw.polynomials import _prime
 
 SESSION_START = time.perf_counter()
 

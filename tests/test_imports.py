@@ -69,16 +69,16 @@ def test_import_azw_cli_finds_no_charpoly_primes():
     assert out == "[]\n"
 
 
-def test_polynomials_and_matrices_share_one_prime_list():
-    # the charpoly's lift (matrices) and the gcd (polynomials) find primes
-    # through one list, still empty after importing the CLI
+def test_matrices_has_no_primes_and_the_cli_computes_none():
+    # the modular arithmetic lives in polynomials alone, and its prime
+    # list is still empty after importing the CLI
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     child = ("import azw.cli, azw.matrices, azw.polynomials; "
-             "print(azw.polynomials._PRIMES is azw.matrices._PRIMES, azw.matrices._PRIMES)")
+             "print(hasattr(azw.matrices, '_PRIMES'), azw.polynomials._PRIMES)")
     out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out == "True []\n"
+    assert out == "False []\n"
 
 
 def test_mellin_calls_quad_through_the_module_attribute(monkeypatch):

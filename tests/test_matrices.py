@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import azw.matrices as matrices
 import azw.polynomials as polynomials
 from azw import (
     ExactMatrix,
@@ -137,7 +136,7 @@ def test_det_exact_of_singular_matrices():
     assert det_exact(ExactMatrix.from_rows([[1, 0, 2], [3, 0, 4], [5, 0, 6]])) == 0
     assert det_exact(ExactMatrix.zeros(4, 4)) == 0
     # zero modulo the first prime, but not zero
-    p = matrices._prime(0)
+    p = polynomials._prime(0)
     assert det_exact(ExactMatrix.from_rows([[p, 0], [0, 1]])) == p
 
 

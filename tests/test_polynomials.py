@@ -21,7 +21,6 @@ from azw import (
     transition_matrix,
     verify_konno_sato,
 )
-import azw.matrices as matrices
 import azw.polynomials as polynomials
 from azw.errors import InvalidParameterError, NonSquareError, PoleError, PrecisionError
 from conftest import (
@@ -220,29 +219,33 @@ def test_charpoly_of_entries_past_the_word_size():
 
 
 def test_charpoly_of_multiples_of_the_first_prime(monkeypatch):
-    # the matrix is zero modulo the first prime: that residue is lambda^n
-    # and is still correct. Modulo the product q of the primes its pivots
-    # are zero divisors, so q splits and the first prime is solved alone
+    # the matrix is zero modulo the first prime, so modulo the product q
+    # of the primes its pivots are zero divisors: q is skipped, and the
+    # kernel runs again on a modulus of the next primes, coprime to q
     p = polynomials._prime(0)
     rng = random.Random(5)
     m = M([[p * rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
     used = []
     monkeypatch.setattr(polynomials, "_charpoly_mod", recording(polynomials._charpoly_mod, used))
     assert _agrees_with_bareiss(reversed_charpoly(m), m)
-    assert word_prime_count(used[0]) >= 2 and p in used[1:], used
+    assert word_prime_count(used[0]) >= 2 and used[0] % p == 0, used
+    assert gcd(used[0], used[1]) == 1, used
 
 
-def test_a_zero_divisor_pivot_splits_the_charpoly_modulus():
-    # modulo 15 the column under the first subdiagonal entry is (3, 5):
-    # nonzero, but no unit
-    a = [[1, 2, 0], [3, 1, 4], [5, 0, 2]]
-    with pytest.raises(matrices._Split) as split:
-        polynomials._charpoly_mod(a, 15)
-    assert split.value.factor == 3
-    # det(lambda I - A) over the integers, by the lifted exact kernel
-    want = [int(c) for c in reversed(reversed_charpoly(M(a)).coeffs)]
-    assert matrices._solve_mod(15, lambda q: polynomials._charpoly_mod(a, q)) == [
-        c % 15 for c in want]
+def test_a_zero_divisor_pivot_raises_value_error(monkeypatch):
+    # modulo 15 the first nonzero entry under the subdiagonal is 3, a
+    # zero divisor: its inverse raises, as pow does
+    with pytest.raises(ValueError):
+        polynomials._charpoly_mod([[1, 2, 0], [3, 1, 4], [5, 0, 2]], 15)
+    # the first pivot, and only that one, is a multiple of the first
+    # prime; the bound needs two primes, so the first modulus is skipped
+    p = polynomials._prime(0)
+    m = M([[1, 2, 3], [p, 1, 4], [5, 6, 7]])
+    used = []
+    monkeypatch.setattr(polynomials, "_charpoly_mod", recording(polynomials._charpoly_mod, used))
+    char = polynomials.reversed_charpoly.__wrapped__(m)
+    assert _agrees_with_bareiss(char, m)
+    assert len(used) == 2 and used[0] % p == 0 and gcd(used[0], used[1]) == 1, used
 
 
 square_int_matrices = st.integers(1, 6).flatmap(lambda n: st.lists(
@@ -252,10 +255,13 @@ square_int_matrices = st.integers(1, 6).flatmap(lambda n: st.lists(
 @given(square_int_matrices)
 @settings(max_examples=200, deadline=None)
 def test_composite_modulus_matches_the_prime_kernels(a):
-    # modulo 3*5*7*11 small entries often leave a zero-divisor pivot, so
-    # the split runs; the residues must be those of each prime on its own
+    # modulo 3*5*7*11 small entries often leave a zero-divisor pivot,
+    # which raises; otherwise the residues are those of each prime alone
     q = 3 * 5 * 7 * 11
-    char = matrices._solve_mod(q, lambda r: polynomials._charpoly_mod(a, r))
+    try:
+        char = polynomials._charpoly_mod(a, q)
+    except ValueError:
+        return
     assert all(0 <= x < q for x in char)
     for p in (3, 5, 7, 11):
         assert [x % p for x in char] == polynomials._charpoly_mod(a, p)

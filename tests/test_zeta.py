@@ -229,6 +229,24 @@ def test_ihara_series_r_max_must_be_an_integer(r_max):
         verify_ihara_series(generate("cycle", 3), r_max=r_max)
 
 
+@pytest.mark.parametrize("r_max", [2.5, True, "3"])
+def test_cycle_count_r_max_must_be_an_integer(r_max):
+    # 2.5 raised a raw TypeError, True ran as 1
+    with pytest.raises(InvalidParameterError):
+        count_reduced_cycles(generate("cycle", 3), r_max)
+
+
+@pytest.mark.parametrize("order", [2.5, True, -1])
+def test_log_series_order_must_be_a_nonnegative_integer(order):
+    # 2.5 raised a raw TypeError, True ran as 1 and -1 returned []
+    with pytest.raises(InvalidParameterError):
+        log_zeta_series(ihara_zeta(generate("cycle", 3), route="bass"), order)
+
+
+def test_log_series_of_order_zero_is_the_constant_term():
+    assert log_zeta_series(ihara_zeta(generate("cycle", 3), route="bass"), 0) == [F(0)]
+
+
 def _as_multiset(report):
     return sorted(((round(v.real, 6), round(v.imag, 6)), m) for v, m in report.entries)
 
